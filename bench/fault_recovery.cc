@@ -228,15 +228,13 @@ int main(int argc, char** argv) {
         f,
         "    {\"kind\": \"%s\", \"rate\": %g, \"wall_s\": %.6g, "
         "\"sim_s\": %.6g, \"overhead\": %.4g, \"retries\": %lld, "
-        "\"integrity_refetches\": %lld, \"pipeline_replays\": %lld}%s\n",
+        "\"integrity_refetches\": %lld}%s\n",
         r.kind.c_str(), r.rate, r.epoch_wall_s, r.epoch_sim_s,
         clean_wall > 0 ? r.epoch_wall_s / clean_wall : 0.0,
         static_cast<long long>(
             r.recovery[fault::DegradeEvent::kTransientRetry]),
         static_cast<long long>(
             r.recovery[fault::DegradeEvent::kIntegrityRefetch]),
-        static_cast<long long>(
-            r.recovery[fault::DegradeEvent::kPipelineReplay]),
         sep);
   }
   std::fprintf(f, "  ]\n}\n");

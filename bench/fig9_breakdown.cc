@@ -18,8 +18,8 @@ int main() {
       "Rows per (model, dataset, layers): Baseline -> +P2P -> +RU.\n"
       "Expected: H2D shrinks at each step; total speedup 1.3x-3.4x; GAT has "
       "a larger GPU share.\n"
-      "Components are busy seconds; Overlap is the share the pipelined\n"
-      "executor hid behind compute, and Total = components - Overlap.");
+      "Components are busy seconds; Overlap is the share the modeled\n"
+      "pipeline hid behind compute, and Total = components - Overlap.");
   const std::vector<int> w = {6, 12, 7, 9, 8, 8, 8, 8, 9, 9, 9};
   benchutil::PrintRow({"Model", "Dataset", "Layers", "Level", "GPU", "H2D",
                        "D2D", "CPU", "Overlap", "Total", "Speedup"},

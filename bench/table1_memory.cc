@@ -8,8 +8,8 @@
 //
 // A second, measured section exercises the arena-backed tensor pool
 // (tensor/pool.h) on the Fig. 11 configuration (4 devices, default chunks,
-// pipeline depth 3) and A/Bs pooled vs unpooled (the HONGTU_DISABLE_POOL
-// path) epochs: wall-clock per steady epoch, peak live host tensor bytes,
+// pipeline executor, max_inflight 3) and A/Bs pooled vs unpooled (the
+// HONGTU_DISABLE_POOL path) epochs: wall-clock per steady epoch, peak live host tensor bytes,
 // and heap-allocation counts. The pooled run must reach ZERO steady-state
 // allocations; the result is recorded in BENCH_memory.json (override with
 // --memory-report=path) and gated by ci/check_bench_regression.py --memory.
@@ -104,7 +104,7 @@ void WriteMemoryReport(const std::vector<MemRow>& rows, const char* path) {
   }
   std::fprintf(f, "{\n  \"bench\": \"memory\",\n  \"scale\": %g,\n",
                benchutil::Scale());
-  std::fprintf(f, "  \"devices\": 4,\n  \"pipeline_depth\": 3,\n");
+  std::fprintf(f, "  \"devices\": 4,\n  \"max_inflight\": 3,\n");
   std::fprintf(f, "  \"results\": [\n");
   for (size_t i = 0; i < rows.size(); ++i) {
     const MemRow& r = rows[i];

@@ -9,8 +9,8 @@
 // All engines are built through the unified factory (Engine::Create) and
 // driven through the identical RunEpoch/EvaluateAccuracy interface; the
 // runtime-config dump records the knob state every run executed under.
-// Prints per-epoch loss/accuracy plus the simulated time breakdown and
-// communication volumes, and a final val/test evaluation.
+// Prints per-epoch loss/accuracy, measured wall time, the simulated time
+// breakdown and communication volumes, and a final val/test evaluation.
 
 #include <cstdio>
 #include <cstring>
@@ -39,8 +39,7 @@ struct Args {
   double scale = 0.3;
   double lr = 0.01;
   double capacity_mb = 0;   // 0 => unlimited
-  int max_inflight = 0;     // 0 => HONGTU_MAX_INFLIGHT / default
-  int pipeline_depth = -1;  // deprecated alias; <0 => unset
+  int max_inflight = 0;  // 0 => HONGTU_MAX_INFLIGHT / default
   bool help = false;
 };
 
@@ -53,12 +52,11 @@ void PrintUsage() {
       "  --dedup none|p2p|ru             --devices N     --chunks N\n"
       "  --epochs N   --scale F (0,1]    --lr F          --capacity-mb F\n"
       "  --executor serial|pipeline|taskgraph\n"
-      "                      (hongtu engine's chunk executor; default from\n"
-      "                       HONGTU_EXECUTOR, else pipeline)\n"
-      "  --max-inflight N    (in-flight chunk batches / buffer slots;\n"
-      "                       default from HONGTU_MAX_INFLIGHT, else 2)\n"
-      "  --pipeline-depth N  (DEPRECATED alias: 0|1 -> --executor serial,\n"
-      "                       N>=2 -> --executor pipeline --max-inflight N)\n");
+      "                      (hongtu engine's modeled overlap schedule;\n"
+      "                       default from HONGTU_EXECUTOR, else pipeline)\n"
+      "  --max-inflight N    (modeled in-flight chunk batches, reserved in\n"
+      "                       device memory; default from\n"
+      "                       HONGTU_MAX_INFLIGHT, else 2)\n");
 }
 
 bool Parse(int argc, char** argv, Args* a) {
@@ -90,7 +88,6 @@ bool Parse(int argc, char** argv, Args* a) {
     else if (flag == "--lr") a->lr = std::atof(v);
     else if (flag == "--capacity-mb") a->capacity_mb = std::atof(v);
     else if (flag == "--max-inflight") a->max_inflight = std::atoi(v);
-    else if (flag == "--pipeline-depth") a->pipeline_depth = std::atoi(v);
     else {
       std::fprintf(stderr, "unknown flag %s\n", flag.c_str());
       return false;
@@ -115,11 +112,14 @@ Result<DedupLevel> ParseDedup(const std::string& s) {
 }
 
 void PrintEpoch(int epoch, const EpochStats& st) {
-  // Bracketed components are per-resource busy seconds; `sim` is the
-  // critical path, i.e. busy minus what the concurrent executor overlapped.
-  std::printf("epoch %3d  loss %.4f  acc %.3f  sim %-8s  "
+  // `wall` is the measured host wall-clock of the epoch. Bracketed
+  // components are simulated per-resource busy seconds; `sim` is the
+  // simulated critical path, i.e. busy minus what the modeled schedule
+  // overlapped.
+  std::printf("epoch %3d  loss %.4f  acc %.3f  wall %-8s  sim %-8s  "
               "[gpu %s h2d %s d2d %s cpu %s ovl %s]  peak %s\n",
               epoch, st.loss, st.train_accuracy,
+              FormatSeconds(st.wall_seconds).c_str(),
               FormatSeconds(st.SimSeconds()).c_str(),
               FormatSeconds(st.time.gpu).c_str(),
               FormatSeconds(st.time.h2d).c_str(),
@@ -159,7 +159,6 @@ Status Run(const Args& a) {
     return Status::Invalid("unknown executor: " + a.executor);
   }
   if (a.max_inflight > 0) o.max_inflight = a.max_inflight;
-  if (a.pipeline_depth >= 0) o.pipeline_depth = a.pipeline_depth;
 
   std::printf("%s | %s %d-layer hidden=%d | engine=%s devices=%d\n",
               ds.graph.DebugString().c_str(), GnnKindName(kind), a.layers,

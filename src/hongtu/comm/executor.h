@@ -17,27 +17,16 @@
 /// accumulator (transition gradients, the host gradient buffer) stays fp32.
 /// All byte meters and the device-capacity charge use the compressed width.
 ///
-/// Layer contexts: every entry point exists in a ctx-addressed form
-/// (`BeginLayerCtx(ctx, ...)` etc.) so the task-graph executor can keep
-/// multiple layers in flight at once — each context owns a full private set
-/// of transition buffers, slot buffers and integrity sidecars, and its
-/// device-memory charge is registered independently. The classic no-ctx
-/// methods delegate to context 0 (the serial and 3-lane pipeline paths).
-///
-/// Slot-token handshake: `num_slots` in BeginLayerCtx is the capacity of
-/// the buffer-slot token pool the task graph hands out (TaskGraph::
-/// AddTokenPool) — a load node that acquired token t fills slot t
-/// (ForwardLoadSlotCtx), its consumer reads slot_buffers_ctx(ctx, t), and
-/// the token returns to the pool only when the releasing store node retires.
-/// The device-memory charge below therefore *is* the backpressure budget:
-/// tokens exist exactly for the slots BeginLayerCtx reserved against device
-/// capacity.
+/// In-flight slots: `num_slots` in BeginLayer is the in-flight window the
+/// engine's modeled schedule assumes (engine.h, `max_inflight`). The
+/// device-memory charge below reserves that many neighbor-buffer slots, so
+/// the window the pipeline/task-graph models overlap over is exactly the
+/// one the memory model pays for.
 
 #pragma once
 
 #include <cstdint>
-#include <deque>
-#include <mutex>
+#include <utility>
 #include <vector>
 
 #include "hongtu/comm/dedup_plan.h"
@@ -71,8 +60,8 @@ class CommExecutor {
   /// columns. Registers device memory; fails with OutOfMemory when a device
   /// cannot hold its transition + neighbor + gradient buffers.
   ///
-  /// `num_slots` is the number of chunk batches the concurrent executors
-  /// keep in flight (1 = serial) — see the slot-token handshake note above.
+  /// `num_slots` is the number of chunk batches the modeled schedule keeps
+  /// in flight (1 = serial) — see the in-flight slots note above.
   /// The first in-flight chunk shares the merged transition buffer (§6), so
   /// it only costs its remote rows; each extra slot needs a full private
   /// neighbor-buffer copy, because the transition slots it would alias are
@@ -90,6 +79,12 @@ class CommExecutor {
   /// Releases the layer's device buffers.
   void EndLayer();
 
+  /// Hands the current layer's device-memory registrations to the caller,
+  /// who then decides when they are released (EndLayer no longer does).
+  std::vector<DeviceAllocation> TakeReservation() {
+    return std::exchange(layer_.buf_alloc, {});
+  }
+
   /// Algorithm 2: loads the neighbor representations of batch `j` on every
   /// device. `host` is the full (|V| x dim) layer buffer h^l in CPU memory;
   /// on return nbr_bufs->at(i) has shape (|N_ij| x dim).
@@ -102,7 +97,7 @@ class CommExecutor {
   /// The per-device neighbor buffers of pipeline slot `slot`, as filled by
   /// the most recent ForwardLoadSlot on that slot.
   std::vector<Tensor>& slot_buffers(int slot) {
-    return slot_buffers_ctx(0, slot);
+    return layer_.slot_nbr[static_cast<size_t>(slot)];
   }
 
   /// Algorithm 3: pushes per-chunk neighbor gradients into owner transition
@@ -111,30 +106,14 @@ class CommExecutor {
   Status BackwardAccumulate(int j, const std::vector<Tensor>& nbr_grads,
                             Tensor* host_grad);
 
-  // ---- Ctx-addressed variants: one independent layer context per
-  // concurrently in-flight layer (the task-graph executor cycles two by
-  // layer parity). Contexts are created on first BeginLayerCtx and persist
-  // (pool-backed host buffers) across layers/epochs.
-
-  Status BeginLayerCtx(int ctx, int dim, int num_slots,
-                       kernels::CommPrecision wire, bool integrity);
-  void EndLayerCtx(int ctx);
-  Status ForwardLoadSlotCtx(int ctx, int j, int slot, const Tensor& host);
-  std::vector<Tensor>& slot_buffers_ctx(int ctx, int slot);
-  Status BackwardAccumulateCtx(int ctx, int j,
-                               const std::vector<Tensor>& nbr_grads,
-                               Tensor* host_grad);
-
-  int dim() const { return ctxs_.empty() ? 0 : ctxs_[0].dim; }
-  kernels::CommPrecision wire() const {
-    return ctxs_.empty() ? kernels::CommPrecision::kFp32 : ctxs_[0].wire;
-  }
+  int dim() const { return layer_.dim; }
+  kernels::CommPrecision wire() const { return layer_.wire; }
 
  private:
-  /// Everything one in-flight layer owns. Host-side tensors are pool-backed
+  /// Everything the current layer owns. Host-side tensors are pool-backed
   /// and persist across BeginLayer/EndLayer: layers reshape them in place,
   /// so steady-state epochs perform no heap allocations here.
-  struct LayerCtx {
+  struct LayerState {
     int dim = 0;
     kernels::CommPrecision wire = kernels::CommPrecision::kFp32;
     bool integrity = true;   ///< verify per-row CRC32C on every fetch
@@ -160,15 +139,13 @@ class CommExecutor {
     int64_t PayloadBytes() const { return dim * elem_bytes; }
   };
 
-  LayerCtx& Ctx(int ctx);
-
   /// One ForwardLoad attempt (idempotent; the public entry point retries it
   /// on a transient failure).
-  Status ForwardLoadAttempt(LayerCtx& c, int j, const Tensor& host,
+  Status ForwardLoadAttempt(int j, const Tensor& host,
                             std::vector<Tensor>* nbr_bufs);
   /// One BackwardAccumulate attempt. Its fault site fires before any state
   /// mutation, so retrying a transient failure cannot double-accumulate.
-  Status BackwardAccumulateAttempt(LayerCtx& c, int j,
+  Status BackwardAccumulateAttempt(int j,
                                    const std::vector<Tensor>& nbr_grads,
                                    Tensor* host_grad);
 
@@ -179,12 +156,7 @@ class CommExecutor {
   /// Process-wide policy (HONGTU_RETRY_SPEC-aware) captured at construction.
   fault::RetryPolicy retry_ = fault::DefaultRetryPolicy();
 
-  /// Layer contexts, grown on demand; index 0 backs the classic no-ctx API.
-  /// A deque (stable element addresses) guarded by ctx_mu_: task-graph begin
-  /// nodes of different contexts run concurrently, and a LayerCtx& handed
-  /// out by Ctx() must survive another context's creation.
-  std::deque<LayerCtx> ctxs_;
-  std::mutex ctx_mu_;
+  LayerState layer_;
 };
 
 }  // namespace hongtu

@@ -37,13 +37,15 @@
 
 namespace hongtu {
 
-/// Which chunk executor drives HongTuEngine's epoch loop. All three produce
-/// identical numerics (taskgraph/pipeline are bitwise-equal to serial at
-/// fp32); they differ only in how much load/compute/store time overlaps.
+/// Which modeled schedule HongTuEngine charges for its chunk loop. The loop
+/// itself is one serial path — every batch's load, compute and store stage
+/// runs in order on the calling thread and is metered on its own — so all
+/// three produce identical numerics; they differ only in how much of the
+/// metered load/compute/store time the simulated platform overlaps.
 enum class ExecutorKind {
-  kSerial = 0,    ///< one batch at a time, no overlap (the A/B baseline)
-  kPipeline = 1,  ///< PR 2's 3-lane fixed-depth stage pipeline, per layer
-  kTaskGraph = 2  ///< dataflow task graph over (chunk, layer, stage) nodes
+  kSerial = 0,    ///< no overlap (the A/B baseline)
+  kPipeline = 1,  ///< in-order 3-stage pipeline recurrence, per layer
+  kTaskGraph = 2  ///< list schedule of the pass's (chunk, layer, stage) graph
 };
 
 const char* ExecutorKindName(ExecutorKind k);
@@ -69,10 +71,10 @@ struct RuntimeConfig {
   /// process-wide capture (fault::DefaultRetryPolicy).
   std::string retry_spec;
   ExecutorKind executor = ExecutorKind::kPipeline;
-  /// Token-pool capacity of the taskgraph executor / window depth of the
-  /// stage pipeline: how many chunk batches may be in flight at once. Each
-  /// in-flight batch holds one buffer slot per device (comm transition
-  /// buffers + compute workspace), so this is also the memory knob.
+  /// The modeled in-flight window: token-pool capacity of the task graph /
+  /// window depth of the pipeline. Each in-flight batch is reserved one
+  /// buffer slot per device (comm buffers + chunk working set) in device
+  /// memory, so this is also the memory knob.
   int max_inflight = 2;
   /// Real multi-process cluster transport for CpuClusterEngine: "" (off,
   /// the analytic model), "tcp" (loopback TCP) or "uds" (Unix-domain

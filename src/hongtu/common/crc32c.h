@@ -25,6 +25,11 @@ namespace hongtu {
 /// stream; chain calls by passing the previous return value).
 uint32_t Crc32c(const void* data, size_t n, uint32_t seed = 0);
 
+/// The portable slice-by-8 implementation behind Crc32c on hosts without
+/// SSE4.2; same contract and words. Exposed so it is compiled and tested on
+/// every host.
+uint32_t Crc32cSoftware(const void* data, size_t n, uint32_t seed = 0);
+
 /// Mixes `crc` so that Crc32c(payload) stored *inside* a larger checksummed
 /// region cannot collide with the region's own CRC stream (RocksDB-style
 /// masking).

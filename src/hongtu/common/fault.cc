@@ -122,8 +122,9 @@ Kind Check(Site s) {
   return fired;
 }
 
-Status Poke(Site s) {
-  const Kind k = Check(s);
+Status Poke(Site s) { return Inject(s, Check(s)); }
+
+Status Inject(Site s, Kind k) {
   switch (k) {
     case Kind::kNone:
     case Kind::kKill:  // unreachable; Check() does not return from a kill
@@ -342,7 +343,6 @@ const char* DegradeEventName(DegradeEvent e) {
     case DegradeEvent::kTransientRetry: return "retry";
     case DegradeEvent::kRetryExhausted: return "retry_exhausted";
     case DegradeEvent::kIntegrityRefetch: return "integrity_refetch";
-    case DegradeEvent::kPipelineReplay: return "pipeline_replay";
     case DegradeEvent::kPipelineOomFallback: return "pipeline_oom_fallback";
     case DegradeEvent::kScheduleFallback: return "schedule_fallback";
     case DegradeEvent::kCheckpointFallback: return "checkpoint_fallback";

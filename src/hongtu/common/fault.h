@@ -33,10 +33,10 @@
 ///     jitter. Permanent errors propagate immediately.
 ///
 ///  3. **DegradationPolicy.** The single, counted record of every graceful
-///     degradation: retries, integrity refetches, pipeline->serial
-///     replays, OOM fallbacks, checkpoint fallbacks. Engines snapshot it
-///     into EpochStats so a "recovered" epoch is visibly different from a
-///     clean one (and tests can prove a recovery path actually fired).
+///     degradation: retries, integrity refetches, OOM fallbacks, checkpoint
+///     fallbacks. Engines snapshot it into EpochStats so a "recovered" epoch
+///     is visibly different from a clean one (and tests can prove a
+///     recovery path actually fired).
 
 #pragma once
 
@@ -56,7 +56,7 @@ enum class Site : int {
   kCommFetch,       ///< CommExecutor::ForwardLoad (Alg. 2 fetch path)
   kCommFlush,       ///< CommExecutor::BackwardAccumulate (Alg. 3 flush path)
   kDeviceH2D,       ///< engine host<->device row streams (gather/scatter)
-  kPipelineStage,   ///< StagePipeline stage execution
+  kPipelineStage,   ///< each (layer, batch, stage) of the HongTu chunk loop
   kCkptWrite,       ///< checkpoint section writes
   kGraphIo,         ///< graph/dataset file loaders
   kNetSend,         ///< net/frame.h WriteFrame (cluster RPC egress)
@@ -112,6 +112,13 @@ Kind Check(Site s);
 /// Returns OK when the site does not fire. Call this at sites that fail by
 /// returning a Status; use Check() directly at sites that corrupt payloads.
 Status Poke(Site s);
+
+/// Materializes a kind `s` already fired (the value of a Check) the way
+/// Poke does: kTransient/kDrop/kDisconnect -> Unavailable, kPermanent ->
+/// Internal, kCorrupt -> DataLoss, kDelay -> a short stall then OK. For
+/// sites that handle some kinds themselves (payload corruption) and defer
+/// the rest.
+Status Inject(Site s, Kind k);
 
 /// Arms `site` with `spec` (replacing any previous arming of that site).
 Status Arm(Site site, const SiteSpec& spec);
@@ -180,8 +187,7 @@ enum class DegradeEvent : int {
   kTransientRetry = 0,    ///< a transient failure recovered by retrying
   kRetryExhausted,        ///< retries ran out; the error propagated
   kIntegrityRefetch,      ///< a CRC32C mismatch repaired by refetching
-  kPipelineReplay,        ///< poisoned pipelined layer replayed serially
-  kPipelineOomFallback,   ///< pipelined working set OOM -> serial layer
+  kPipelineOomFallback,   ///< in-flight window OOM -> serial batches
   kScheduleFallback,      ///< edge schedules did not fit -> single-pass
   kCheckpointFallback,    ///< corrupt snapshot skipped for the previous one
   kPeerDeath,             ///< a cluster worker died (EOF / heartbeat timeout)
@@ -191,7 +197,7 @@ enum class DegradeEvent : int {
   kCoordJournalReplay,    ///< restarted coordinator rebuilt state from the WAL
   kWorkerReattach,        ///< worker re-registered with a restarted coordinator
 };
-constexpr int kNumDegradeEvents = 13;
+constexpr int kNumDegradeEvents = 12;
 
 const char* DegradeEventName(DegradeEvent e);
 

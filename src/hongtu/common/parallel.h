@@ -48,11 +48,14 @@ void ParallelForChunked(int64_t begin, int64_t end, int64_t serial_below,
     fn(begin, end);
     return;
   }
-  const int nthreads = NumThreads();
-  const int64_t chunk = (n + nthreads - 1) / nthreads;
-#pragma omp parallel num_threads(nthreads)
+  // Slices are sized from the team that actually runs, not the requested
+  // one: inside an enclosing parallel region (nested parallelism off) the
+  // team has a single thread, which must then cover the whole range.
+#pragma omp parallel num_threads(NumThreads())
   {
+    const int team = omp_get_num_threads();
     const int t = omp_get_thread_num();
+    const int64_t chunk = (n + team - 1) / team;
     const int64_t lo = begin + t * chunk;
     const int64_t hi = std::min(end, lo + chunk);
     if (lo < hi) fn(lo, hi);
@@ -105,13 +108,15 @@ void ParallelForBalanced(int64_t n, const int64_t* prefix,
   // found by binary search on item start weights, so the slices tile [0, n)
   // exactly (ties included) and a degree-skewed tail of zero-weight vertices
   // costs whichever thread owns that weight point nothing extra.
+  // As in ParallelForChunked, the weight slices follow the actual team size.
 #pragma omp parallel num_threads(nthreads)
   {
+    const int team = omp_get_num_threads();
     const int t = omp_get_thread_num();
-    const int64_t w0 = prefix[0] + total * t / nthreads;
-    const int64_t w1 = prefix[0] + total * (t + 1) / nthreads;
+    const int64_t w0 = prefix[0] + total * t / team;
+    const int64_t w1 = prefix[0] + total * (t + 1) / team;
     const int64_t lo = std::lower_bound(prefix, prefix + n, w0) - prefix;
-    const int64_t hi = (t + 1 == nthreads)
+    const int64_t hi = (t + 1 == team)
                            ? n
                            : std::lower_bound(prefix, prefix + n, w1) - prefix;
     if (lo < hi) fn(lo, hi);

@@ -1,250 +1,59 @@
 #include "hongtu/common/taskgraph.h"
 
 #include <algorithm>
-#include <condition_variable>
-#include <cstdio>
 #include <cstdlib>
-#include <deque>
 #include <functional>
-#include <mutex>
 #include <queue>
-#include <thread>
-#include <utility>
 
-#include "hongtu/common/fault.h"
 #include "hongtu/common/logging.h"
-
-// Graph-construction invariants are programming errors, not recoverable
-// statuses: abort loudly.
-#define TG_CHECK(cond, what)                                     \
-  do {                                                           \
-    if (!(cond)) {                                               \
-      HT_LOG(ERROR) << "TaskGraph: " << (what) << " [" #cond "]"; \
-      std::abort();                                              \
-    }                                                            \
-  } while (0)
 
 namespace hongtu {
 
-struct TaskGraph::Node {
-  NodeFn fn;
-  NodeOptions opts;
-  std::vector<NodeId> succ;
-  int pending = 0;  ///< unretired incoming edges
-  int token = -1;
-  bool done = false;
-};
-
-struct TaskGraph::Pool {
-  int capacity = 0;
-  std::vector<int> free_tokens;  // LIFO: hot slot reuse
-  std::deque<NodeId> waiters;    // FIFO: elastic-handshake fairness
-};
-
-struct TaskGraph::RunState {
-  std::mutex mu;
-  std::condition_variable cv;
-  /// Per-worker deques: a worker pushes/pops its own back (LIFO keeps a
-  /// chunk's load->compute->store chain hot on one worker) and steals from
-  /// other workers' fronts.
-  std::vector<std::deque<NodeId>> queues;
-  int completed = 0;
-  bool poisoned = false;
-};
-
 namespace {
-thread_local int t_worker = 0;
+
+// Graph-construction invariants are programming errors, not recoverable
+// statuses: abort loudly.
+void Check(bool ok, const char* what) {
+  if (ok) return;
+  HT_LOG(ERROR) << "TaskGraph: " << what;
+  std::abort();
+}
+
 }  // namespace
 
-TaskGraph::TaskGraph(Options opts) : opts_(opts) {
-  if (opts_.num_workers <= 0) {
-    const unsigned hw = std::thread::hardware_concurrency();
-    opts_.num_workers = std::clamp<int>(static_cast<int>(hw), 2, 8);
-  }
-}
-
-TaskGraph::~TaskGraph() { delete rs_; }
-
-int TaskGraph::num_nodes() const { return static_cast<int>(nodes_.size()); }
-
 TaskGraph::PoolId TaskGraph::AddTokenPool(int capacity) {
-  Pool p;
-  p.capacity = std::max(1, capacity);
-  p.free_tokens.reserve(p.capacity);
-  // Reverse push so token 0 is on top of the LIFO stack: the first acquirer
-  // gets slot 0, matching the serial path's slot usage.
-  for (int t = p.capacity - 1; t >= 0; --t) p.free_tokens.push_back(t);
-  pools_.push_back(std::move(p));
-  return static_cast<PoolId>(pools_.size() - 1);
+  pool_capacity_.push_back(std::max(1, capacity));
+  return static_cast<PoolId>(pool_capacity_.size() - 1);
 }
 
-TaskGraph::NodeId TaskGraph::AddNode(NodeFn fn, NodeOptions opts) {
-  TG_CHECK(rs_ == nullptr, "AddNode after Run()");
-  TG_CHECK(opts.acquires < static_cast<PoolId>(pools_.size()),
-           "acquires references an unknown pool");
-  TG_CHECK(opts.releases_token_of < static_cast<NodeId>(nodes_.size()),
-           "releases_token_of must reference an earlier node");
-  Node n;
-  n.fn = std::move(fn);
-  n.opts = std::move(opts);
-  nodes_.push_back(std::move(n));
+TaskGraph::NodeId TaskGraph::AddNode(NodeOptions opts) {
+  Check(opts.acquires < static_cast<PoolId>(pool_capacity_.size()),
+        "acquires references an unknown pool");
+  Check(opts.releases_token_of < num_nodes(),
+        "releases_token_of must reference an earlier node");
+  nodes_.push_back(Node{opts, {}});
   return static_cast<NodeId>(nodes_.size() - 1);
 }
 
 void TaskGraph::AddEdge(NodeId from, NodeId to) {
-  TG_CHECK(from >= 0 && to > from && to < static_cast<NodeId>(nodes_.size()),
-           "edges must go from a lower to a higher node id");
+  Check(from >= 0 && to > from && to < num_nodes(),
+        "edges must go from a lower to a higher node id");
   nodes_[from].succ.push_back(to);
-  nodes_[to].pending++;
-}
-
-int TaskGraph::TokenOf(NodeId n) const {
-  if (rs_ != nullptr) {
-    std::lock_guard<std::mutex> lk(rs_->mu);
-    return nodes_[n].token;
-  }
-  return nodes_[n].token;
-}
-
-bool TaskGraph::TryAcquireTokenLocked(NodeId n) {
-  Pool& p = pools_[nodes_[n].opts.acquires];
-  if (p.free_tokens.empty()) {
-    p.waiters.push_back(n);
-    return false;
-  }
-  nodes_[n].token = p.free_tokens.back();
-  p.free_tokens.pop_back();
-  return true;
-}
-
-void TaskGraph::EnqueueReadyLocked(NodeId n, int worker_hint) {
-  // Poisoned graphs drain: skip token acquisition entirely (the body will
-  // be skipped too), otherwise a parked waiter could deadlock the drain.
-  if (!rs_->poisoned && nodes_[n].opts.acquires >= 0) {
-    if (!TryAcquireTokenLocked(n)) return;  // parked; released tokens unpark
-  }
-  rs_->queues[worker_hint % rs_->queues.size()].push_back(n);
-  rs_->cv.notify_all();
-}
-
-void TaskGraph::PoisonLocked(NodeId n, Status st) {
-  if (rs_->poisoned) return;  // sticky: first error wins
-  rs_->poisoned = true;
-  failure_.status = std::move(st);
-  failure_.node = n;
-  failure_.label = nodes_[n].opts.label;
-  // Flush parked waiters so the drain reaches them; they run as skipped
-  // no-ops without tokens.
-  for (Pool& p : pools_) {
-    int hint = t_worker;
-    while (!p.waiters.empty()) {
-      const NodeId w = p.waiters.front();
-      p.waiters.pop_front();
-      rs_->queues[hint++ % rs_->queues.size()].push_back(w);
-    }
-  }
-  rs_->cv.notify_all();
-}
-
-void TaskGraph::RetireLocked(NodeId n) {
-  Node& node = nodes_[n];
-  if (node.opts.releases_token_of >= 0) {
-    Node& holder = nodes_[node.opts.releases_token_of];
-    const int t = holder.token;
-    if (t >= 0) {
-      Pool& p = pools_[holder.opts.acquires];
-      if (!rs_->poisoned && !p.waiters.empty()) {
-        // Hand the slot straight to the oldest waiter (elastic handshake:
-        // the freed buffer re-arms the stalled producer).
-        const NodeId w = p.waiters.front();
-        p.waiters.pop_front();
-        nodes_[w].token = t;
-        rs_->queues[t_worker % rs_->queues.size()].push_back(w);
-        rs_->cv.notify_all();
-      } else {
-        p.free_tokens.push_back(t);
-      }
-    }
-  }
-  node.done = true;
-  rs_->completed++;
-  for (const NodeId s : node.succ) {
-    if (--nodes_[s].pending == 0) EnqueueReadyLocked(s, t_worker);
-  }
-  if (rs_->completed == num_nodes()) rs_->cv.notify_all();
-}
-
-void TaskGraph::WorkerLoop(int worker_index) {
-  t_worker = worker_index;
-  const int w = static_cast<int>(rs_->queues.size());
-  std::unique_lock<std::mutex> lk(rs_->mu);
-  while (rs_->completed < num_nodes()) {
-    NodeId n = -1;
-    if (!rs_->queues[worker_index].empty()) {
-      n = rs_->queues[worker_index].back();  // own queue: LIFO
-      rs_->queues[worker_index].pop_back();
-    } else {
-      for (int i = 1; i < w && n < 0; ++i) {  // steal: oldest work first
-        auto& q = rs_->queues[(worker_index + i) % w];
-        if (!q.empty()) {
-          n = q.front();
-          q.pop_front();
-        }
-      }
-    }
-    if (n < 0) {
-      rs_->cv.wait(lk);
-      continue;
-    }
-    const bool skip = rs_->poisoned;
-    NodeContext ctx;
-    ctx.node = n;
-    ctx.token = nodes_[n].token;
-    lk.unlock();
-    Status st = Status::OK();
-    if (!skip) {
-      st = fault::Poke(fault::Site::kPipelineStage);
-      if (st.ok()) st = nodes_[n].fn(ctx);
-    }
-    lk.lock();
-    if (!st.ok()) PoisonLocked(n, std::move(st));
-    RetireLocked(n);
-  }
-}
-
-Status TaskGraph::Run() {
-  TG_CHECK(rs_ == nullptr, "TaskGraph::Run is one-shot");
-  rs_ = new RunState();
-  rs_->queues.resize(opts_.num_workers);
-  {
-    std::lock_guard<std::mutex> lk(rs_->mu);
-    int hint = 0;
-    for (NodeId n = 0; n < num_nodes(); ++n) {
-      if (nodes_[n].pending == 0) EnqueueReadyLocked(n, hint++);
-    }
-  }
-  std::vector<std::thread> workers;
-  workers.reserve(opts_.num_workers);
-  for (int i = 0; i < opts_.num_workers; ++i) {
-    workers.emplace_back([this, i] { WorkerLoop(i); });
-  }
-  for (std::thread& t : workers) t.join();
-  // Post-run: tokens/failure_ are stable, TokenOf reads lock-free.
-  delete rs_;
-  rs_ = nullptr;
-  return failure_.node >= 0 ? failure_.status : Status::OK();
 }
 
 double TaskGraph::ScheduleSeconds(
     const std::vector<double>& busy_seconds) const {
   const int n = num_nodes();
+  // Nodes past the end of busy_seconds are free.
+  std::vector<double> busy(busy_seconds);
+  busy.resize(static_cast<size_t>(n), 0.0);
   std::vector<double> ready(n, 0.0);
   std::vector<double> res_free;
   using MinHeap =
       std::priority_queue<double, std::vector<double>, std::greater<double>>;
-  std::vector<MinHeap> pool_free(pools_.size());
-  for (size_t p = 0; p < pools_.size(); ++p) {
-    for (int t = 0; t < pools_[p].capacity; ++t) pool_free[p].push(0.0);
+  std::vector<MinHeap> pool_free(pool_capacity_.size());
+  for (size_t p = 0; p < pool_capacity_.size(); ++p) {
+    for (int t = 0; t < pool_capacity_[p]; ++t) pool_free[p].push(0.0);
   }
   double wall = 0.0;
   // Id order is a topological order (AddEdge enforces from < to), and in the
@@ -267,26 +76,35 @@ double TaskGraph::ScheduleSeconds(
         h.pop();
       }
     }
-    const double busy =
-        id < static_cast<NodeId>(busy_seconds.size()) ? busy_seconds[id] : 0.0;
-    const double finish = start + busy;
-    if (std::getenv("HONGTU_TG_TRACE") != nullptr) {
-      std::fprintf(stderr,
-                   "tg-trace %4d %-28s start=%.3gus busy=%.3gus idle=%.3gus "
-                   "res=%d tok=%d\n",
-                   id, node.opts.label.c_str(), start * 1e6, busy * 1e6,
-                   (start - ready[id]) * 1e6, node.opts.sim_resource,
-                   node.token);
-    }
+    const double finish = start + busy[id];
     if (node.opts.sim_resource >= 0) res_free[node.opts.sim_resource] = finish;
     for (const NodeId s : node.succ) ready[s] = std::max(ready[s], finish);
     if (node.opts.releases_token_of >= 0) {
       const Node& holder = nodes_[node.opts.releases_token_of];
-      if (holder.opts.acquires >= 0) pool_free[holder.opts.acquires].push(finish);
+      if (holder.opts.acquires >= 0) {
+        pool_free[holder.opts.acquires].push(finish);
+      }
     }
     wall = std::max(wall, finish);
   }
   return wall;
+}
+
+double ModelPipelineSeconds(
+    const std::vector<std::array<double, 3>>& item_seconds, int window) {
+  const size_t n = item_seconds.size();
+  const size_t d = static_cast<size_t>(std::max(1, window));
+  double load_fin = 0.0, comp_fin = 0.0, store_fin = 0.0;
+  std::vector<double> retired(n, 0.0);
+  for (size_t j = 0; j < n; ++j) {
+    double start = load_fin;
+    if (j >= d) start = std::max(start, retired[j - d]);
+    load_fin = start + item_seconds[j][0];
+    comp_fin = std::max(comp_fin, load_fin) + item_seconds[j][1];
+    store_fin = std::max(store_fin, comp_fin) + item_seconds[j][2];
+    retired[j] = store_fin;
+  }
+  return store_fin;
 }
 
 }  // namespace hongtu

@@ -1,46 +1,27 @@
 /// \file taskgraph.h
-/// \brief Dataflow task-graph executor: work-stealing workers over
-/// (chunk, layer, stage) nodes with per-edge readiness, buffer-slot token
-/// backpressure and sticky error poisoning.
+/// \brief Analytic overlap models of the chunk executors: the dataflow task
+/// graph over (chunk, layer, stage) nodes and the in-order 3-stage pipeline.
 ///
-/// This replaces the stage pipeline's batch-order barriers (pipeline.h) with
-/// the elastic fire-when-operands-arrive discipline of dataflow circuits: a
-/// node runs as soon as (a) every incoming edge has retired and (b) it has
-/// acquired a buffer-slot token from its pool. Tokens model the bounded
-/// buffering the engine charged against device memory in
-/// `CommExecutor::BeginLayer(dim, num_slots, ...)` — a pool of capacity S is
-/// backed by exactly S comm transition slots + S compute workspaces, so a
-/// node that holds token t may use slot/workspace t exclusively until the
-/// (statically known) releasing node retires. Backpressure falls out: when
-/// all S tokens are in flight, further acquirers park in FIFO order and the
-/// graph keeps running on whatever else is ready — a straggler stalls only
-/// its own dependents, never a whole lane.
+/// HongTu overlaps host<->GPU transfers with GPU kernels. In this
+/// reproduction every stage runs on the calling thread (kernels stay
+/// OpenMP-parallel inside it) and is metered on its own; the overlap the
+/// real device would get is then computed from those per-stage costs. Both
+/// models here are pure functions of the per-node (per-item) durations, so
+/// the modeled wall is deterministic and independent of host scheduling.
 ///
-/// Error handling matches the stage pipeline's sticky poisoning so the
-/// PR 6 degradation path (transient replay, OOM fallback to serial) works
-/// unchanged: the first failing node records a FailureInfo; every node that
-/// becomes ready afterwards skips its body (and its token acquisition) but
-/// still retires, so the graph drains without deadlock and Run() returns the
-/// first error. `fault::Site::kPipelineStage` is poked before each node body
-/// — the same site the stage pipeline pokes per item, so one fault spec
-/// exercises both executors.
-///
-/// Determinism: the graph never reorders writes that alternate — the engine
-/// chains gradient-retirement nodes in batch order with explicit edges, so
-/// accumulation order is pinned by graph structure, not thread schedule
-/// (retire-order independence). `ScheduleSeconds` is the post-hoc analytic
-/// model of the same graph used for sim metering: a deterministic
-/// list-schedule in node-id order, independent of how the real threads
-/// interleaved.
+/// The task graph encodes the elastic fire-when-operands-arrive discipline
+/// of dataflow circuits: a node may start once (a) every incoming edge has
+/// retired, (b) its resource class is free, and (c) it holds a buffer-slot
+/// token from its pool. Tokens model the bounded buffering the engine
+/// charged against device memory in `CommExecutor::BeginLayer(dim,
+/// num_slots, ...)`: a pool of capacity S stands for exactly S in-flight
+/// comm slots + compute workspaces, and a token returns to its pool when
+/// the (statically known) releasing node retires.
 
 #pragma once
 
-#include <functional>
-#include <string>
-#include <utility>
+#include <array>
 #include <vector>
-
-#include "hongtu/common/status.h"
 
 namespace hongtu {
 
@@ -49,102 +30,57 @@ class TaskGraph {
   using NodeId = int;
   using PoolId = int;
 
-  /// Passed to each node body: its own id (also the sim-task lane key) and
-  /// the token it acquired (-1 if the node acquires nothing).
-  struct NodeContext {
-    NodeId node = -1;
-    int token = -1;
-  };
-  using NodeFn = std::function<Status(const NodeContext&)>;
-
-  struct Options {
-    /// 0 = hardware_concurrency clamped to [2, 8].
-    int num_workers = 0;
-  };
-  TaskGraph() : TaskGraph(Options{}) {}
-  explicit TaskGraph(Options opts);
-  ~TaskGraph();
-
-  TaskGraph(const TaskGraph&) = delete;
-  TaskGraph& operator=(const TaskGraph&) = delete;
-
-  /// Creates a token pool of `capacity` slots (tokens are 0..capacity-1 and
-  /// double as buffer-slot indices).
+  /// Creates a token pool of `capacity` slots.
   PoolId AddTokenPool(int capacity);
 
   struct NodeOptions {
-    /// Shown in FailureInfo ("fwd load l1 b3").
-    std::string label;
-    /// Acquire one token from this pool before running (-1 = none).
+    /// Acquire one token from this pool before starting (-1 = none).
     PoolId acquires = -1;
     /// On retirement, release the token held by this (earlier) node back to
-    /// its pool. Static pairing keeps the handshake analyzable — and lets
-    /// ScheduleSeconds model token turnaround exactly.
+    /// its pool. Static pairing lets ScheduleSeconds model token turnaround
+    /// exactly.
     NodeId releases_token_of = -1;
-    /// Resource class for the analytic schedule (e.g. 0=load wire, 1=GPU,
-    /// 2=store wire): nodes of one class serialize in the model, mirroring
-    /// the lane semantics of the 3-lane pipeline. -1 = unconstrained.
+    /// Resource class (e.g. 0=load wire, 1=GPU, 2=store wire): nodes of one
+    /// class serialize, mirroring the lanes of the 3-stage pipeline.
+    /// -1 = unconstrained.
     int sim_resource = -1;
   };
 
   /// Adds a node. Ids are assigned in call order and every edge must go from
   /// a lower to a higher id, so id order is a topological order by
   /// construction.
-  NodeId AddNode(NodeFn fn, NodeOptions opts);
-  NodeId AddNode(NodeFn fn) { return AddNode(std::move(fn), NodeOptions{}); }
+  NodeId AddNode(NodeOptions opts);
+  NodeId AddNode() { return AddNode(NodeOptions{}); }
 
   /// Readiness edge: `to` cannot start until `from` retired. Requires
   /// from < to (see AddNode); duplicate edges are allowed and cheap.
   void AddEdge(NodeId from, NodeId to);
 
-  /// Token held (or last held) by node n; valid once n has started, stable
-  /// until its releaser retires. -1 if n acquired nothing (or was skipped).
-  int TokenOf(NodeId n) const;
-
-  struct FailureInfo {
-    Status status;
-    NodeId node = -1;
-    std::string label;
-  };
-
-  /// Runs the graph to completion (one-shot; a TaskGraph instance is built,
-  /// run once, then only queried). Returns the first node failure, or OK.
-  Status Run();
-  const FailureInfo& first_error() const { return failure_; }
-
-  int num_nodes() const;
+  int num_nodes() const { return static_cast<int>(nodes_.size()); }
 
   /// Deterministic list-schedule of this graph given per-node busy seconds:
   /// nodes start at the max of (all predecessors' finish, their resource
   /// class free time, earliest token availability in their pool). Processed
   /// in id order (a topological order), so the result is a pure function of
-  /// the graph and the durations — the sim layer uses it as the modeled
-  /// wall-clock of the N-way-concurrent region. Returns max finish time.
+  /// the graph and the durations. Returns max finish time.
   double ScheduleSeconds(const std::vector<double>& busy_seconds) const;
 
  private:
-  struct Node;
-  struct Pool;
-  struct Worker;
-
-  // All require lock_ held.
-  void EnqueueReadyLocked(NodeId n, int worker_hint);
-  void RetireLocked(NodeId n);
-  void PoisonLocked(NodeId n, Status st);
-  bool TryAcquireTokenLocked(NodeId n);
-
-  void WorkerLoop(int worker_index);
-
-  Options opts_;
+  struct Node {
+    NodeOptions opts;
+    std::vector<NodeId> succ;
+  };
   std::vector<Node> nodes_;
-  std::vector<Pool> pools_;
-  FailureInfo failure_;  // sticky; .node < 0 means no failure
-
-  // Run-time state lives behind one mutex: node bodies are coarse (whole
-  // chunk-batch stages), so contention is negligible and the executor stays
-  // trivially TSan-clean.
-  struct RunState;
-  RunState* rs_ = nullptr;
+  std::vector<int> pool_capacity_;
 };
+
+/// Modeled wall of an in-order 3-stage software pipeline (load -> compute ->
+/// store) over items j = 0..n-1 with per-item stage seconds
+/// `item_seconds[j] = {load, compute, store}`: a stage starts item j once
+/// the upstream stage finished it and the stage itself finished item j-1,
+/// and item j's buffer slot (j mod window) frees only once item j-window
+/// retired from the store stage. Returns the store stage's finish time.
+double ModelPipelineSeconds(
+    const std::vector<std::array<double, 3>>& item_seconds, int window);
 
 }  // namespace hongtu

@@ -1,7 +1,6 @@
 #include "hongtu/engine/engine.h"
 
 #include <algorithm>
-#include <mutex>
 #include <utility>
 
 #include "hongtu/common/logging.h"
@@ -44,37 +43,15 @@ bool ParseEngineKind(const std::string& s, EngineKind* out) {
   return true;
 }
 
-ExecutorKind EngineConfig::resolved_executor() const {
-  if (pipeline_depth >= 0) {
-    static std::once_flag warned;
-    std::call_once(warned, [] {
-      HT_LOG(WARNING)
-          << "HongTuOptions::pipeline_depth is deprecated; use "
-             "executor = {serial, pipeline, taskgraph} + max_inflight "
-             "(depth 0/1 -> serial, depth d >= 2 -> pipeline with "
-             "max_inflight = d)";
-    });
-    return pipeline_depth >= 2 ? ExecutorKind::kPipeline
-                               : ExecutorKind::kSerial;
-  }
-  return executor;
-}
-
-int EngineConfig::resolved_max_inflight() const {
-  if (pipeline_depth >= 2) return pipeline_depth;
-  if (pipeline_depth >= 0) return 1;  // legacy serial
-  return std::max(1, max_inflight);
-}
-
 RuntimeConfig EngineConfig::runtime() const {
-  // Engine-scoped fields from this config (post alias resolution); the
-  // process-scoped knobs from their live owners.
+  // Engine-scoped fields from this config; the process-scoped knobs from
+  // their live owners.
   RuntimeConfig rc = RuntimeConfig::Process();
   rc.kernel_backend = kernels::ActiveBackend();
   rc.comm_precision = comm_precision;
   rc.wire_integrity = wire_integrity;
-  rc.executor = resolved_executor();
-  rc.max_inflight = resolved_max_inflight();
+  rc.executor = executor;
+  rc.max_inflight = std::max(1, max_inflight);
   return rc;
 }
 

@@ -18,8 +18,7 @@
 /// callers that need engine-specific accessors (dedup plans, logits, ...).
 ///
 /// Executor policy lives in `EngineOptions::executor` + `max_inflight`
-/// (common/config.h). The old `pipeline_depth` knob survives only as a
-/// deprecated alias on EngineConfig — see its comment for the mapping.
+/// (common/config.h).
 
 #pragma once
 
@@ -58,16 +57,17 @@ struct EpochStats {
   int64_t host_pool_hits = 0;    ///< pool free-list hits
 
   /// Graceful-degradation events this epoch (common/fault.h): retries,
-  /// integrity refetches, pipeline->serial replays, OOM/schedule fallbacks.
+  /// integrity refetches, OOM/schedule fallbacks.
   /// All zero on a clean epoch; tests assert on these to prove a recovery
   /// path actually fired (and benchmarks report them next to the timings).
   fault::RecoveryCounters recovery;
 
   /// Critical-path epoch time. The `time` components are per-resource busy
-  /// seconds; under the concurrent executors their sum double-counts what
-  /// ran concurrently, and total() subtracts that (see TimeBreakdown).
+  /// seconds; under the pipeline/taskgraph executors their sum double-counts
+  /// what the modeled schedule overlaps, and total() subtracts that (see
+  /// TimeBreakdown).
   double SimSeconds() const { return time.total(); }
-  /// Busy seconds hidden by comm/compute overlap (0 on the serial path).
+  /// Busy seconds hidden by modeled comm/compute overlap (0 under serial).
   double OverlapSeconds() const { return time.overlapped; }
 };
 
@@ -102,13 +102,18 @@ struct EngineOptions {
   /// at fetch time with repair-by-refetch (comm/executor.h). On by default;
   /// HONGTU_WIRE_INTEGRITY=0 turns it off (explicit assignments win).
   bool wire_integrity = DefaultWireIntegrity();
-  /// Which chunk executor HongTuEngine runs (other engines ignore it):
-  /// serial, the 3-lane stage pipeline, or the dataflow task graph. Default
+  /// Which modeled schedule HongTuEngine charges (other engines ignore it).
+  /// HongTuEngine always runs its batches' load/compute/store stages one
+  /// after another on the calling thread and meters each; this only picks
+  /// how those costs overlap in simulated time: serial (no overlap), the
+  /// in-order 3-stage pipeline per layer, or the dataflow task graph over
+  /// the whole pass. Numerics are identical under all three. Default
   /// pipeline, moved by HONGTU_EXECUTOR.
   ExecutorKind executor = RuntimeConfig::FromEnv().executor;
-  /// In-flight chunk batches (buffer-slot tokens / pipeline window depth),
-  /// clamped to the batch count at run time. Default 2, moved by
-  /// HONGTU_MAX_INFLIGHT.
+  /// In-flight chunk batches, clamped to the batch count at run time: the
+  /// modeled window (pipeline depth / task-graph buffer-slot tokens) and
+  /// the number of in-flight batches reserved in device memory (comm slots
+  /// and chunk working sets). Default 2, moved by HONGTU_MAX_INFLIGHT.
   int max_inflight = RuntimeConfig::FromEnv().max_inflight;
 };
 
@@ -135,13 +140,6 @@ struct EngineConfig : EngineOptions {
   /// Use the recomputation-caching hybrid for cacheable layers (§4.2); when
   /// false every layer recomputes (the pure recomputation ablation).
   bool hybrid_cache = true;
-  /// DEPRECATED alias of (executor, max_inflight); kept so pre-redesign call
-  /// sites keep their meaning and warn once. < 0 (the default) = unset: the
-  /// executor/max_inflight pair governs. >= 0 overrides the pair the way the
-  /// old knob behaved: 0 or 1 -> serial, d >= 2 -> pipeline with
-  /// max_inflight = d. Resolution happens in resolved_executor() /
-  /// resolved_max_inflight(); engines only consult those.
-  int pipeline_depth = -1;
   /// Compile per-(chunk, direction) edge schedules at setup so the
   /// aggregation kernels run the propagation-blocked (cache-banded,
   /// conflict-free-parallel) path. One-time preprocessing cost, metered
@@ -205,13 +203,8 @@ struct EngineConfig : EngineOptions {
   /// before the ack (the coordinator_kill_smoke drill). -1 = off.
   int64_t cluster_coord_kill_epoch = -1;
 
-  /// The executor after applying the deprecated pipeline_depth alias (warns
-  /// once per process when the alias is set).
-  ExecutorKind resolved_executor() const;
-  /// The in-flight window after the same resolution, always >= 1.
-  int resolved_max_inflight() const;
-  /// This config as a RuntimeConfig view (resolved executor fields; the
-  /// process-scoped knobs — kernel backend, pool, fault spec — from
+  /// This config as a RuntimeConfig view (executor fields from this config;
+  /// the process-scoped knobs — kernel backend, pool, fault spec — from
   /// RuntimeConfig::Process()). For Describe() dumps.
   RuntimeConfig runtime() const;
 };

@@ -1,12 +1,13 @@
 #include "hongtu/engine/hongtu_engine.h"
 
 #include <algorithm>
+#include <array>
 #include <chrono>
 #include <cstring>
 
 #include "hongtu/common/logging.h"
 #include "hongtu/common/parallel.h"
-#include "hongtu/common/pipeline.h"
+#include "hongtu/common/taskgraph.h"
 #include "hongtu/kernels/backend.h"
 
 namespace hongtu {
@@ -99,6 +100,13 @@ int64_t BackwardScratchBytes(const Chunk& chunk, const Layer& layer,
                   : chunk.num_edges() * 3 +
                         2 * chunk.num_neighbors() * layer.out_dim())) *
          kF32;
+}
+
+/// Per-batch device working set of chunk `c` at `layer` in one direction.
+int64_t ScratchBytes(const Chunk& c, const Layer& layer, bool backward,
+                     bool cached) {
+  return backward ? BackwardScratchBytes(c, layer, cached)
+                  : ForwardScratchBytes(c, layer);
 }
 
 }  // namespace
@@ -244,484 +252,350 @@ void HongTuEngine::PresizeWorkspaces() {
     max_out = std::max<int64_t>(max_out, layer->out_dim());
     max_agg = std::max<int64_t>(max_agg, layer->agg_dim());
   }
-  ws_.resize(static_cast<size_t>(WorkspaceSlots()));
-  for (SlotWorkspace& ws : ws_) {
-    ws.out.resize(m);
-    ws.agg.resize(m);
-    ws.d_dst.resize(m);
-    ws.dst_rows.resize(m);
-    ws.d_src.resize(m);
-    for (int i = 0; i < m; ++i) {
-      int64_t max_dst = 0, max_nbr = 0;
-      for (int j = 0; j < n; ++j) {
-        max_dst = std::max(max_dst, tl_.chunks[i][j].num_dst());
-        max_nbr = std::max(max_nbr, tl_.chunks[i][j].num_neighbors());
-      }
-      ws.out[i].EnsureShape(max_dst, max_out);
-      ws.agg[i].EnsureShape(max_dst, max_agg);
-      ws.d_dst[i].EnsureShape(max_dst, max_out);
-      ws.dst_rows[i].EnsureShape(max_dst, max_in);
-      ws.d_src[i].EnsureShape(max_nbr, max_in);
+  ws_.out.resize(m);
+  ws_.agg.resize(m);
+  ws_.d_dst.resize(m);
+  ws_.dst_rows.resize(m);
+  ws_.d_src.resize(m);
+  for (int i = 0; i < m; ++i) {
+    int64_t max_dst = 0, max_nbr = 0;
+    for (int j = 0; j < n; ++j) {
+      max_dst = std::max(max_dst, tl_.chunks[i][j].num_dst());
+      max_nbr = std::max(max_nbr, tl_.chunks[i][j].num_neighbors());
     }
+    ws_.out[i].EnsureShape(max_dst, max_out);
+    ws_.agg[i].EnsureShape(max_dst, max_agg);
+    ws_.d_dst[i].EnsureShape(max_dst, max_out);
+    ws_.dst_rows[i].EnsureShape(max_dst, max_in);
+    ws_.d_src[i].EnsureShape(max_nbr, max_in);
   }
 }
 
-int HongTuEngine::EffectiveDepth() const {
-  if (options_.resolved_executor() != ExecutorKind::kPipeline) return 0;
-  const int d = std::min(options_.resolved_max_inflight(),
-                         options_.chunks_per_partition);
-  // A window of 1 in-flight batch cannot overlap anything (the stages
-  // serialize through the depth bound), so running it inside an overlap
-  // region would fabricate hidden seconds. Serial path instead.
-  return d >= 2 ? d : 0;
-}
+/// The modeled schedule of one pass. Every stage runs on the calling thread
+/// in batch order; this records how its metered costs overlap and which
+/// in-flight reservations the model pays for.
+struct HongTuEngine::PassModel {
+  /// kSerial: no overlap (the serial executor, a pipeline window below 2,
+  /// or after an OutOfMemory fallback).
+  ExecutorKind kind = ExecutorKind::kSerial;
+  /// Batches in flight: comm slots and scratch multiples.
+  int window = 1;
+  // ---- kTaskGraph only.
+  TaskGraph graph;
+  /// Node ids of (layer, batch, stage) as nodes[l][j][stage].
+  std::vector<std::vector<std::array<TaskGraph::NodeId, 3>>> nodes;
+  /// Metered busy seconds per node (begin/end nodes meter nothing).
+  std::vector<double> busy;
+  /// The pass-wide in-flight scratch reservation.
+  std::vector<DeviceAllocation> scratch;
+  /// The previous layer's comm buffers. The graph alternates two comm
+  /// contexts by layer parity, so layer l+1 may start while layer l drains:
+  /// layer l's buffers stay charged until layer l+1 ends, the point where
+  /// layer l+2 reuses its context.
+  std::vector<DeviceAllocation> prev_comm;
 
-int HongTuEngine::WorkspaceSlots() const {
-  if (options_.resolved_executor() == ExecutorKind::kTaskGraph) {
-    return std::max(
-        1, std::min(options_.resolved_max_inflight(),
-                    options_.chunks_per_partition));
+  /// The rest of the pass runs serial batches, charged without overlap.
+  void DropToSerial() {
+    kind = ExecutorKind::kSerial;
+    window = 1;
+    scratch.clear();
+    prev_comm.clear();
   }
-  return std::max(1, EffectiveDepth());
-}
+};
 
 Status HongTuEngine::ForwardPass() {
-  const int L = model_.num_layers();
-  if (options_.resolved_executor() == ExecutorKind::kTaskGraph) {
-    const Status st = ForwardPassTaskGraph();
-    if (st.ok()) return st;
-    HT_RETURN_IF_ERROR(DegradeToSerial(st, "forward task graph"));
-    // Serial replay of the whole pass. Safe: forward h^{l+1}/cache writes
-    // are idempotent overwrites, and the poisoned graph drained (skipped
-    // nodes retire as no-ops) before its buffers were released.
-    for (int l = 0; l < L; ++l) {
-      HT_RETURN_IF_ERROR(ForwardLayerSerial(l));
-    }
-    return Status::OK();
+  PassModel pm;
+  HT_RETURN_IF_ERROR(BeginPass(/*backward=*/false, &pm));
+  for (int l = 0; l < model_.num_layers(); ++l) {
+    HT_RETURN_IF_ERROR(ForwardLayer(l, &pm));
   }
-  for (int l = 0; l < L; ++l) {
-    if (EffectiveDepth() > 0) {
-      const Status st = ForwardLayerPipelined(l);
-      if (st.ok()) continue;
-      HT_RETURN_IF_ERROR(DegradeToSerial(st, "forward layer " +
-                                                 std::to_string(l)));
-      // Serial replay below. Safe and bitwise-identical: the forward's
-      // h^{l+1}/cache writes are idempotent overwrites, and the poisoned
-      // pipeline retired every batch (as no-ops past the failure point)
-      // before RunPipelinedLayer released its buffers.
+  EndPass(&pm);
+  return Status::OK();
+}
+
+Status HongTuEngine::BackwardPass() {
+  PassModel pm;
+  HT_RETURN_IF_ERROR(BeginPass(/*backward=*/true, &pm));
+  for (int l = model_.num_layers() - 1; l >= 0; --l) {
+    HT_RETURN_IF_ERROR(BackwardLayer(l, &pm));
+  }
+  EndPass(&pm);
+  return Status::OK();
+}
+
+Status HongTuEngine::BeginPass(bool backward, PassModel* pm) {
+  const int n = options_.chunks_per_partition;
+  const int window = std::min(std::max(1, options_.max_inflight), n);
+  switch (options_.executor) {
+    case ExecutorKind::kSerial:
+      return Status::OK();
+    case ExecutorKind::kPipeline:
+      // A window of 1 cannot overlap anything (the stages serialize through
+      // it), so modeling one would fabricate hidden seconds.
+      if (window >= 2) {
+        pm->kind = ExecutorKind::kPipeline;
+        pm->window = window;
+      }
+      return Status::OK();
+    case ExecutorKind::kTaskGraph:
+      break;
+  }
+  // One worst-case chunk working set per in-flight batch per device,
+  // reserved for the whole pass: the compute side of the same window
+  // BeginLayer charges on the comm side.
+  const Status st = ReserveWindowScratch(window, 0, model_.num_layers(),
+                                         backward, &pm->scratch);
+  if (!st.ok()) {
+    pm->scratch.clear();
+    return DegradeToSerial(
+        st, backward ? "backward task graph" : "forward task graph");
+  }
+  pm->kind = ExecutorKind::kTaskGraph;
+  pm->window = window;
+  BuildPassGraph(backward, pm);
+  return Status::OK();
+}
+
+void HongTuEngine::EndPass(PassModel* pm) {
+  if (pm->kind != ExecutorKind::kTaskGraph) return;
+  double busy = 0.0;
+  for (double b : pm->busy) busy += b;
+  platform_->RecordOverlap(busy, 0.0, pm->graph.ScheduleSeconds(pm->busy));
+}
+
+Status HongTuEngine::ReserveWindowScratch(int window, int l0, int l1,
+                                          bool backward,
+                                          std::vector<DeviceAllocation>* out) {
+  const int m = options_.num_devices;
+  const int n = options_.chunks_per_partition;
+  out->reserve(static_cast<size_t>(m));
+  for (int i = 0; i < m; ++i) {
+    int64_t ws = 0;
+    for (int l = l0; l < l1; ++l) {
+      for (int j = 0; j < n; ++j) {
+        ws = std::max(ws, ScratchBytes(tl_.chunks[i][j], *model_.layer(l),
+                                       backward, use_cache_[l]));
+      }
     }
-    HT_RETURN_IF_ERROR(ForwardLayerSerial(l));
+    HT_RETURN_IF_ERROR(AllocateWithRetry(&platform_->device(i), window * ws,
+                                         "in-flight scratch", &degrade_));
+    out->emplace_back(&platform_->device(i), window * ws);
   }
   return Status::OK();
 }
 
-/// Decides what a failed pipelined layer means: OutOfMemory (the extra
-/// in-flight working set did not fit) and *transient* causes (an injected
-/// or real recoverable fault that poisoned the pipeline after its internal
-/// retries) degrade to the serial loop — counted as distinct events;
-/// anything else is a real error and propagates.
+/// An in-flight window whose working set does not fit is a graceful
+/// degradation to serial batches; anything else is a real error.
 Status HongTuEngine::DegradeToSerial(const Status& st,
                                      const std::string& what) {
-  if (st.IsOutOfMemory()) {
-    degrade_.Record(fault::DegradeEvent::kPipelineOomFallback,
-                    what + ": " + st.message());
-    return Status::OK();
-  }
-  if (st.IsTransient()) {
-    degrade_.Record(fault::DegradeEvent::kPipelineReplay,
-                    what + ": " + st.message());
-    return Status::OK();
-  }
-  return st;
+  if (!st.IsOutOfMemory()) return st;
+  degrade_.Record(fault::DegradeEvent::kPipelineOomFallback,
+                  what + ": " + st.message());
+  return Status::OK();
 }
 
-Status HongTuEngine::ForwardLayerSerial(int l) {
+Status HongTuEngine::RunStage(const StageFn& body, int j, double* seconds) {
+  HT_RETURN_IF_ERROR(fault::RetryTransient(
+      fault::DefaultRetryPolicy(), &degrade_, "pipeline.stage",
+      [] { return fault::Poke(fault::Site::kPipelineStage); }));
+  const double before = platform_->time().busy();
+  HT_RETURN_IF_ERROR(body(j));
+  platform_->Synchronize();
+  *seconds = platform_->time().busy() - before;
+  return Status::OK();
+}
+
+Status HongTuEngine::RunLayer(int l, bool backward, PassModel* pm,
+                              const StageFn& load, const StageFn& compute,
+                              const StageFn& store) {
   const int m = options_.num_devices;
   const int n = options_.chunks_per_partition;
+  const Layer* layer = model_.layer(l);
+  const bool cached = backward && use_cache_[l];
+  const kernels::CommPrecision wire = options_.comm_precision;
+
+  // In-flight reservations: `window` comm slots (one when the hybrid
+  // backward never loads neighbors) plus, under the pipeline, `window`
+  // worst-case chunk working sets for this layer (the task graph reserved
+  // its scratch pass-wide). If they do not fit, this layer runs serial
+  // batches, each reserving only its own chunks' working sets.
+  ExecutorKind kind = pm->kind;
+  std::vector<DeviceAllocation> layer_scratch;
+  if (kind != ExecutorKind::kSerial) {
+    Status st = executor_->BeginLayer(layer->in_dim(),
+                                      cached ? 1 : pm->window, wire,
+                                      options_.wire_integrity);
+    if (st.ok() && kind == ExecutorKind::kPipeline) {
+      st = ReserveWindowScratch(pm->window, l, l + 1, backward,
+                                &layer_scratch);
+    }
+    if (!st.ok()) {
+      layer_scratch.clear();
+      HT_RETURN_IF_ERROR(DegradeToSerial(
+          st, std::string(backward ? "backward" : "forward") + " layer " +
+                  std::to_string(l)));
+      if (kind == ExecutorKind::kTaskGraph) pm->DropToSerial();
+      kind = ExecutorKind::kSerial;
+    }
+  }
+  if (kind == ExecutorKind::kSerial) {
+    HT_RETURN_IF_ERROR(executor_->BeginLayer(layer->in_dim(), 1, wire,
+                                             options_.wire_integrity));
+  }
+
+  std::vector<std::array<double, 3>> cost(static_cast<size_t>(n));
+  for (int j = 0; j < n; ++j) {
+    std::array<double, 3>& c = cost[static_cast<size_t>(j)];
+    HT_RETURN_IF_ERROR(RunStage(load, j, &c[0]));
+    std::vector<DeviceAllocation> batch_scratch;
+    if (kind == ExecutorKind::kSerial) {
+      for (int i = 0; i < m; ++i) {
+        const Chunk& chunk = tl_.chunks[i][j];
+        if (chunk.num_dst() == 0) continue;
+        const int64_t ws = ScratchBytes(chunk, *layer, backward, cached);
+        HT_RETURN_IF_ERROR(AllocateWithRetry(&platform_->device(i), ws,
+                                             "chunk scratch", &degrade_));
+        batch_scratch.emplace_back(&platform_->device(i), ws);
+      }
+    }
+    HT_RETURN_IF_ERROR(RunStage(compute, j, &c[1]));
+    HT_RETURN_IF_ERROR(RunStage(store, j, &c[2]));
+  }
+
+  if (kind == ExecutorKind::kTaskGraph) {
+    for (int j = 0; j < n; ++j) {
+      for (int s = 0; s < 3; ++s) {
+        pm->busy[static_cast<size_t>(pm->nodes[l][j][s])] =
+            cost[static_cast<size_t>(j)][static_cast<size_t>(s)];
+      }
+    }
+    pm->prev_comm = executor_->TakeReservation();
+  }
+  executor_->EndLayer();
+  if (kind == ExecutorKind::kPipeline) {
+    // The layer is charged at the pipeline recurrence over the per-batch
+    // stage costs, never below its slowest stage's busy total.
+    double lane[3] = {0.0, 0.0, 0.0};
+    for (const auto& c : cost) {
+      for (int s = 0; s < 3; ++s) lane[s] += c[static_cast<size_t>(s)];
+    }
+    platform_->RecordOverlap(lane[0] + lane[1] + lane[2],
+                             std::max({lane[0], lane[1], lane[2]}),
+                             ModelPipelineSeconds(cost, pm->window));
+  }
+  return Status::OK();
+}
+
+Status HongTuEngine::ForwardLayer(int l, PassModel* pm) {
+  const int m = options_.num_devices;
   Layer* layer = model_.layer(l);
-  SlotWorkspace& slot = ws_[0];
   const kernels::CommPrecision wire = options_.comm_precision;
   const int64_t eb = kernels::CommElemBytes(wire);
-  HT_RETURN_IF_ERROR(executor_->BeginLayer(layer->in_dim(), 1, wire,
-                                           options_.wire_integrity));
-  for (int j = 0; j < n; ++j) {
-    HT_RETURN_IF_ERROR(executor_->ForwardLoadSlot(j, 0, h_[l]));
-    std::vector<Tensor>& nbr_bufs = executor_->slot_buffers(0);
+
+  // Load: deduplicated communication for batch j (Algorithm 2).
+  const auto load = [&](int j) {
+    return executor_->ForwardLoadSlot(j, 0, h_[l]);
+  };
+  // Compute: GNN kernels for batch j on every device.
+  const auto compute = [&](int j) -> Status {
+    std::vector<Tensor>& nbr = executor_->slot_buffers(0);
     for (int i = 0; i < m; ++i) {
       const Chunk& chunk = tl_.chunks[i][j];
       if (chunk.num_dst() == 0) continue;
       const LocalGraph lg = LocalGraph::FromChunk(chunk, chunk_schedules(i, j));
-
-      // Per-batch working memory on the device.
-      const int64_t ws = ForwardScratchBytes(chunk, *layer);
-      HT_RETURN_IF_ERROR(AllocateWithRetry(&platform_->device(i), ws,
-                                           "fwd scratch", &degrade_));
-      DeviceAllocation guard(&platform_->device(i), ws);
-
-      Tensor& dst_h = slot.out[i];
-      Tensor& agg = slot.agg[i];
-      HT_RETURN_IF_ERROR(layer->Forward(
-          lg, nbr_bufs[i], &dst_h, use_cache_[l] ? &agg : nullptr));
-
-      // Copy the new representations back to host (Alg. 1 line 9).
-      HT_RETURN_IF_ERROR(
-          ScatterRows(dst_h, chunk.dst_vertices, &h_[l + 1], wire, &degrade_));
-      platform_->AddH2D(i, chunk.num_dst() * layer->out_dim() * eb);
-      if (use_cache_[l]) {
-        // Cache the AGGREGATE checkpoint in host memory (§4.2).
-        HT_RETURN_IF_ERROR(
-            ScatterRows(agg, chunk.dst_vertices, &cache_[l], wire, &degrade_));
-        platform_->AddH2D(i, chunk.num_dst() * layer->agg_dim() * eb);
-      }
+      HT_RETURN_IF_ERROR(layer->Forward(lg, nbr[i], &ws_.out[i],
+                                        use_cache_[l] ? &ws_.agg[i] : nullptr));
       double flops = 0, bytes = 0;
       layer->ForwardCost(lg, &flops, &bytes);
       platform_->AddGpuCompute(i, flops, bytes);
     }
-    platform_->Synchronize();
-  }
-  executor_->EndLayer();
-  return Status::OK();
-}
-
-Status HongTuEngine::RunPipelinedLayer(
-    int in_dim, int comm_slots, int d,
-    const std::function<int64_t(const Chunk&)>& scratch_bytes,
-    StagePipeline::StageFn load, StagePipeline::StageFn compute,
-    StagePipeline::StageFn store) {
-  const int m = options_.num_devices;
-  const int n = options_.chunks_per_partition;
-  HT_RETURN_IF_ERROR(executor_->BeginLayer(
-      in_dim, comm_slots, options_.comm_precision, options_.wire_integrity));
-
-  // The compute stage must not race other stages for the device allocator,
-  // so the whole layer reserves d worst-case chunk working sets up front.
-  std::vector<DeviceAllocation> scratch;
-  scratch.reserve(m);
-  for (int i = 0; i < m; ++i) {
-    int64_t ws = 0;
-    for (int j = 0; j < n; ++j) {
-      ws = std::max(ws, scratch_bytes(tl_.chunks[i][j]));
-    }
-    const Status st = AllocateWithRetry(&platform_->device(i), d * ws,
-                                        "pipeline scratch", &degrade_);
-    if (!st.ok()) {
-      // Release the comm registrations before reporting: the serial
-      // fallback's BeginLayer must see a clean device.
-      executor_->EndLayer();
-      return st;
-    }
-    scratch.emplace_back(&platform_->device(i), d * ws);
-  }
-
-  platform_->BeginOverlap(3);
-  // Meter every item on every lane: the wall charge below replays the
-  // in-order stage recurrence over these per-item costs, so the modeled
-  // time honors what the lane totals alone hide — a stage cannot start an
-  // item before the upstream stage finishes it, and batch j's buffer slot
-  // (j mod d) frees only once batch j-d retires from the store stage.
-  std::vector<std::vector<double>> item(
-      3, std::vector<double>(static_cast<size_t>(n), 0.0));
-  auto meter = [&](int lane, StagePipeline::StageFn fn) {
-    return StagePipeline::StageFn(
-        [this, lane, &item, fn = std::move(fn)](int64_t j) -> Status {
-          const double before = platform_->LaneBusySeconds(lane);
-          const Status st = fn(j);
-          platform_->Synchronize();
-          item[static_cast<size_t>(lane)][static_cast<size_t>(j)] =
-              platform_->LaneBusySeconds(lane) - before;
-          return st;
-        });
-  };
-  Status st;
-  {
-    StagePipeline pipe(
-        {meter(0, std::move(load)), meter(1, std::move(compute)),
-         meter(2, std::move(store))},
-        d);
-    for (int j = 0; j < n; ++j) {
-      if (!pipe.Submit(j).ok()) break;
-    }
-    st = pipe.Flush();
-  }
-  double load_fin = 0.0, comp_fin = 0.0, store_fin = 0.0;
-  std::vector<double> retired(static_cast<size_t>(n), 0.0);
-  for (int j = 0; j < n; ++j) {
-    double start = load_fin;
-    if (j >= d) start = std::max(start, retired[static_cast<size_t>(j - d)]);
-    load_fin = start + item[0][static_cast<size_t>(j)];
-    comp_fin = std::max(comp_fin, load_fin) + item[1][static_cast<size_t>(j)];
-    store_fin =
-        std::max(store_fin, comp_fin) + item[2][static_cast<size_t>(j)];
-    retired[static_cast<size_t>(j)] = store_fin;
-  }
-  platform_->EndOverlap(store_fin);
-  // Always release the layer's comm registrations — a poisoned pipeline
-  // must not leak device reservations into the serial replay's BeginLayer.
-  executor_->EndLayer();
-  return st;
-}
-
-Status HongTuEngine::ForwardLayerPipelined(int l) {
-  const int m = options_.num_devices;
-  const int d = EffectiveDepth();
-  Layer* layer = model_.layer(l);
-  const kernels::CommPrecision wire = options_.comm_precision;
-  const int64_t eb = kernels::CommElemBytes(wire);
-
-  // Per-device outputs live in the pre-sized slot workspaces; slot j%d is
-  // free for reuse once batch j has retired from the store stage (the
-  // pipeline depth bound), so the lanes never share a tensor.
-
-  // Stage A: deduplicated communication for batch j (Algorithm 2).
-  auto load = [&, l](int64_t j) -> Status {
-    SimPlatform::SetLane(0);
-    return executor_->ForwardLoadSlot(static_cast<int>(j),
-                                      static_cast<int>(j % d), h_[l]);
-  };
-  // Stage B: GNN kernels for batch j on every device.
-  auto compute = [&, l](int64_t j) -> Status {
-    SimPlatform::SetLane(1);
-    const int s = static_cast<int>(j % d);
-    std::vector<Tensor>& nbr = executor_->slot_buffers(s);
-    for (int i = 0; i < m; ++i) {
-      const Chunk& chunk = tl_.chunks[i][j];
-      if (chunk.num_dst() == 0) continue;
-      const LocalGraph lg = LocalGraph::FromChunk(chunk, chunk_schedules(i, static_cast<int>(j)));
-      HT_RETURN_IF_ERROR(layer->Forward(
-          lg, nbr[i], &ws_[s].out[i],
-          use_cache_[l] ? &ws_[s].agg[i] : nullptr));
-      double flops = 0, bytes = 0;
-      layer->ForwardCost(lg, &flops, &bytes);
-      platform_->AddGpuCompute(i, flops, bytes);
-    }
-    platform_->Synchronize();
     return Status::OK();
   };
-  // Stage C: stream batch j's representations (and AGGREGATE checkpoints)
-  // back to the host buffers (Alg. 1 line 9).
-  auto store = [&, l](int64_t j) -> Status {
-    SimPlatform::SetLane(2);
-    const int s = static_cast<int>(j % d);
+  // Store: copy the new representations back to host (Alg. 1 line 9) and
+  // cache the AGGREGATE checkpoints in host memory (§4.2).
+  const auto store = [&](int j) -> Status {
     for (int i = 0; i < m; ++i) {
       const Chunk& chunk = tl_.chunks[i][j];
       if (chunk.num_dst() == 0) continue;
-      HT_RETURN_IF_ERROR(ScatterRows(ws_[s].out[i], chunk.dst_vertices,
+      HT_RETURN_IF_ERROR(ScatterRows(ws_.out[i], chunk.dst_vertices,
                                      &h_[l + 1], wire, &degrade_));
       platform_->AddH2D(i, chunk.num_dst() * layer->out_dim() * eb);
       if (use_cache_[l]) {
-        HT_RETURN_IF_ERROR(ScatterRows(ws_[s].agg[i], chunk.dst_vertices,
+        HT_RETURN_IF_ERROR(ScatterRows(ws_.agg[i], chunk.dst_vertices,
                                        &cache_[l], wire, &degrade_));
         platform_->AddH2D(i, chunk.num_dst() * layer->agg_dim() * eb);
       }
     }
-    platform_->Synchronize();
     return Status::OK();
   };
-
-  return RunPipelinedLayer(
-      layer->in_dim(), /*comm_slots=*/d, d,
-      [layer](const Chunk& c) { return ForwardScratchBytes(c, *layer); },
-      std::move(load), std::move(compute), std::move(store));
+  return RunLayer(l, /*backward=*/false, pm, load, compute, store);
 }
 
-Status HongTuEngine::BackwardPass() {
-  const int L = model_.num_layers();
-  if (options_.resolved_executor() == ExecutorKind::kTaskGraph) {
-    const Status st = BackwardPassTaskGraph();
-    if (st.ok()) return st;
-    HT_RETURN_IF_ERROR(DegradeToSerial(st, "backward task graph"));
-    // Serial replay from the top: grad_[L] (the loss gradient) is never
-    // mutated by the backward pass, each BackwardLayerSerial starts by
-    // re-zeroing grad_[l], and the parameter gradients the poisoned graph
-    // partially accumulated are re-zeroed here (the backward pass is their
-    // only writer this epoch), so the replay starts from the clean state.
-    model_.ZeroGrads();
-    for (int l = L - 1; l >= 0; --l) {
-      HT_RETURN_IF_ERROR(BackwardLayerSerial(l));
-    }
-    return Status::OK();
-  }
-  for (int l = L - 1; l >= 0; --l) {
-    if (EffectiveDepth() > 0) {
-      const Status st = BackwardLayerPipelined(l);
-      if (st.ok()) continue;
-      HT_RETURN_IF_ERROR(DegradeToSerial(st, "backward layer " +
-                                                 std::to_string(l)));
-      // Serial replay: BackwardLayerSerial starts from grad_[l].Zero() and
-      // BeginLayer re-zeroes the transition-gradient accumulators. Layer l's
-      // parameter gradients were still zero when the pipelined attempt
-      // began (only layer l's own backward writes them, once per epoch), so
-      // re-zeroing them erases the poisoned attempt's partial accumulation.
-      model_.layer(l)->ZeroGrads();
-    }
-    HT_RETURN_IF_ERROR(BackwardLayerSerial(l));
-  }
-  return Status::OK();
-}
-
-Status HongTuEngine::BackwardLayerSerial(int l) {
+Status HongTuEngine::BackwardLayer(int l, PassModel* pm) {
   const int m = options_.num_devices;
-  const int n = options_.chunks_per_partition;
   Layer* layer = model_.layer(l);
   const bool cached = use_cache_[l];
-  SlotWorkspace& slot = ws_[0];
   const kernels::CommPrecision wire = options_.comm_precision;
   const int64_t eb = kernels::CommElemBytes(wire);
   grad_[l].Zero();
-  HT_RETURN_IF_ERROR(executor_->BeginLayer(layer->in_dim(), 1, wire,
-                                           options_.wire_integrity));
-  for (int j = 0; j < n; ++j) {
-    if (!cached) {
-      // Recomputation path: reload the neighbor representations through
-      // the deduplicated communication framework (Fig. 4b).
-      HT_RETURN_IF_ERROR(executor_->ForwardLoadSlot(j, 0, h_[l]));
-    }
+
+  // Load: destination gradients from host (Alg. 1 line 16), plus either the
+  // AGGREGATE checkpoints (hybrid path, Fig. 4c — no neighbor reload) or
+  // the neighbor representations through the deduplicated communication
+  // framework (recomputation path, Fig. 4b).
+  const auto load = [&](int j) -> Status {
+    if (!cached) HT_RETURN_IF_ERROR(executor_->ForwardLoadSlot(j, 0, h_[l]));
     for (int i = 0; i < m; ++i) {
       const Chunk& chunk = tl_.chunks[i][j];
-      Tensor& d_src = slot.d_src[i];
+      if (chunk.num_dst() == 0) continue;
+      HT_RETURN_IF_ERROR(GatherRows(grad_[l + 1], chunk.dst_vertices,
+                                    &ws_.d_dst[i], wire, &degrade_));
+      platform_->AddH2D(i, chunk.num_dst() * layer->out_dim() * eb);
+      if (!cached) continue;
+      HT_RETURN_IF_ERROR(GatherRows(cache_[l], chunk.dst_vertices,
+                                    &ws_.agg[i], wire, &degrade_));
+      platform_->AddH2D(i, chunk.num_dst() * layer->agg_dim() * eb);
+      if (layer->needs_dst_h()) {
+        HT_RETURN_IF_ERROR(GatherRows(h_[l], chunk.dst_vertices,
+                                      &ws_.dst_rows[i], wire, &degrade_));
+        platform_->AddH2D(i, chunk.num_dst() * layer->in_dim() * eb);
+      } else {
+        ws_.dst_rows[i].EnsureShape(0, 0);
+      }
+    }
+    return Status::OK();
+  };
+  // Compute: backward kernels for batch j on every device.
+  const auto compute = [&](int j) -> Status {
+    for (int i = 0; i < m; ++i) {
+      const Chunk& chunk = tl_.chunks[i][j];
+      Tensor& d_src = ws_.d_src[i];
       if (chunk.num_dst() == 0) {
         d_src.EnsureShape(0, layer->in_dim());
         continue;
       }
       const LocalGraph lg = LocalGraph::FromChunk(chunk, chunk_schedules(i, j));
-
-      const int64_t ws = BackwardScratchBytes(chunk, *layer, cached);
-      HT_RETURN_IF_ERROR(AllocateWithRetry(&platform_->device(i), ws,
-                                           "bwd scratch", &degrade_));
-      DeviceAllocation guard(&platform_->device(i), ws);
-
-      // Load destination gradients from host (Alg. 1 line 16).
-      Tensor& d_dst = slot.d_dst[i];
-      HT_RETURN_IF_ERROR(GatherRows(grad_[l + 1], chunk.dst_vertices, &d_dst,
-                                    wire, &degrade_));
-      platform_->AddH2D(i, chunk.num_dst() * layer->out_dim() * eb);
-
       d_src.EnsureShapeZeroed(chunk.num_neighbors(), layer->in_dim());
-
       if (cached) {
-        // Hybrid path (Fig. 4c): reload the AGGREGATE checkpoint, skip
-        // the neighbor reload entirely.
-        Tensor& agg = slot.agg[i];
-        HT_RETURN_IF_ERROR(
-            GatherRows(cache_[l], chunk.dst_vertices, &agg, wire, &degrade_));
-        platform_->AddH2D(i, chunk.num_dst() * layer->agg_dim() * eb);
-        Tensor& dst_rows = slot.dst_rows[i];
-        if (layer->needs_dst_h()) {
-          HT_RETURN_IF_ERROR(GatherRows(h_[l], chunk.dst_vertices, &dst_rows,
-                                        wire, &degrade_));
-          platform_->AddH2D(i, chunk.num_dst() * layer->in_dim() * eb);
-        } else {
-          dst_rows.EnsureShape(0, 0);
-        }
-        HT_RETURN_IF_ERROR(
-            layer->BackwardCached(lg, agg, dst_rows, d_dst, &d_src));
+        HT_RETURN_IF_ERROR(layer->BackwardCached(lg, ws_.agg[i],
+                                                 ws_.dst_rows[i],
+                                                 ws_.d_dst[i], &d_src));
       } else {
         HT_RETURN_IF_ERROR(layer->BackwardRecompute(
-            lg, executor_->slot_buffers(0)[i], d_dst, &d_src));
+            lg, executor_->slot_buffers(0)[i], ws_.d_dst[i], &d_src));
       }
       double flops = 0, bytes = 0;
       layer->BackwardCost(lg, cached, &flops, &bytes);
       platform_->AddGpuCompute(i, flops, bytes);
     }
-    platform_->Synchronize();
-    // Deduplicated gradient write-back (Alg. 1 line 19 / Alg. 3).
-    HT_RETURN_IF_ERROR(
-        executor_->BackwardAccumulate(j, slot.d_src, &grad_[l]));
-  }
-  executor_->EndLayer();
-  return Status::OK();
-}
-
-Status HongTuEngine::BackwardLayerPipelined(int l) {
-  const int m = options_.num_devices;
-  const int d = EffectiveDepth();
-  Layer* layer = model_.layer(l);
-  const bool cached = use_cache_[l];
-  const kernels::CommPrecision wire = options_.comm_precision;
-  const int64_t eb = kernels::CommElemBytes(wire);
-  grad_[l].Zero();
-
-  // Per-(slot, device) gather/gradient buffers come from the pre-sized slot
-  // workspaces; the depth bound keeps the three lanes off each other's slot.
-
-  // Stage A: destination gradients + checkpoints (hybrid) or the neighbor
-  // reload (recompute) for batch j — all host->device traffic.
-  auto load = [&, l](int64_t j) -> Status {
-    SimPlatform::SetLane(0);
-    const int s = static_cast<int>(j % d);
-    if (!cached) {
-      HT_RETURN_IF_ERROR(
-          executor_->ForwardLoadSlot(static_cast<int>(j), s, h_[l]));
-    }
-    for (int i = 0; i < m; ++i) {
-      const Chunk& chunk = tl_.chunks[i][j];
-      if (chunk.num_dst() == 0) continue;
-      HT_RETURN_IF_ERROR(GatherRows(grad_[l + 1], chunk.dst_vertices,
-                                    &ws_[s].d_dst[i], wire, &degrade_));
-      platform_->AddH2D(i, chunk.num_dst() * layer->out_dim() * eb);
-      if (cached) {
-        HT_RETURN_IF_ERROR(GatherRows(cache_[l], chunk.dst_vertices,
-                                      &ws_[s].agg[i], wire, &degrade_));
-        platform_->AddH2D(i, chunk.num_dst() * layer->agg_dim() * eb);
-        if (layer->needs_dst_h()) {
-          HT_RETURN_IF_ERROR(GatherRows(h_[l], chunk.dst_vertices,
-                                        &ws_[s].dst_rows[i], wire, &degrade_));
-          platform_->AddH2D(i, chunk.num_dst() * layer->in_dim() * eb);
-        } else {
-          ws_[s].dst_rows[i].EnsureShape(0, 0);
-        }
-      }
-    }
-    platform_->Synchronize();
     return Status::OK();
   };
-  // Stage B: backward kernels for batch j. The neighbor slot only exists
-  // on the recompute path (the hybrid path never loads neighbors, and its
-  // BeginLayer registers a single comm slot).
-  auto compute = [&, l](int64_t j) -> Status {
-    SimPlatform::SetLane(1);
-    const int s = static_cast<int>(j % d);
-    std::vector<Tensor>* nbr =
-        cached ? nullptr : &executor_->slot_buffers(s);
-    for (int i = 0; i < m; ++i) {
-      const Chunk& chunk = tl_.chunks[i][j];
-      Tensor& ds = ws_[s].d_src[i];
-      if (chunk.num_dst() == 0) {
-        ds.EnsureShape(0, layer->in_dim());
-        continue;
-      }
-      const LocalGraph lg = LocalGraph::FromChunk(chunk, chunk_schedules(i, static_cast<int>(j)));
-      ds.EnsureShapeZeroed(chunk.num_neighbors(), layer->in_dim());
-      if (cached) {
-        HT_RETURN_IF_ERROR(layer->BackwardCached(
-            lg, ws_[s].agg[i], ws_[s].dst_rows[i], ws_[s].d_dst[i], &ds));
-      } else {
-        HT_RETURN_IF_ERROR(
-            layer->BackwardRecompute(lg, (*nbr)[i], ws_[s].d_dst[i], &ds));
-      }
-      double flops = 0, bytes = 0;
-      layer->BackwardCost(lg, cached, &flops, &bytes);
-      platform_->AddGpuCompute(i, flops, bytes);
-    }
-    platform_->Synchronize();
-    return Status::OK();
+  // Store: deduplicated gradient write-back (Alg. 1 line 19 / Alg. 3), in
+  // batch order, so the host-side accumulation order is fixed.
+  const auto store = [&](int j) {
+    return executor_->BackwardAccumulate(j, ws_.d_src, &grad_[l]);
   };
-  // Stage C: deduplicated gradient write-back for batch j (Alg. 3). Runs
-  // strictly in batch order, so transition-gradient slot reuse and the
-  // host-side accumulation order match the serial path exactly.
-  auto store = [&, l](int64_t j) -> Status {
-    SimPlatform::SetLane(2);
-    return executor_->BackwardAccumulate(
-        static_cast<int>(j), ws_[static_cast<size_t>(j % d)].d_src,
-        &grad_[l]);
-  };
-
-  return RunPipelinedLayer(
-      layer->in_dim(), /*comm_slots=*/cached ? 1 : d, d,
-      [layer, cached](const Chunk& c) {
-        return BackwardScratchBytes(c, *layer, cached);
-      },
-      std::move(load), std::move(compute), std::move(store));
+  return RunLayer(l, /*backward=*/true, pm, load, compute, store);
 }
 
 void HongTuEngine::BuildTaskDeps() {
@@ -788,366 +662,71 @@ void HongTuEngine::BuildTaskDeps() {
   }
 }
 
-Status HongTuEngine::ForwardPassTaskGraph() {
-  const int m = options_.num_devices;
+void HongTuEngine::BuildPassGraph(bool backward, PassModel* pm) {
   const int n = options_.chunks_per_partition;
   const int L = model_.num_layers();
-  const int S = WorkspaceSlots();
-  const kernels::CommPrecision wire = options_.comm_precision;
-  const int64_t eb = kernels::CommElemBytes(wire);
   if (fwd_dep_batches_.empty()) BuildTaskDeps();
-
-  // One worst-case chunk working set per buffer-slot token per device,
-  // reserved for the whole pass: the compute side of the same in-flight
-  // budget BeginLayerCtx charges on the comm side.
-  std::vector<DeviceAllocation> scratch;
-  scratch.reserve(static_cast<size_t>(m));
-  for (int i = 0; i < m; ++i) {
-    int64_t ws = 0;
-    for (int l = 0; l < L; ++l) {
-      const Layer* layer = model_.layer(l);
-      for (int j = 0; j < n; ++j) {
-        ws = std::max(ws, ForwardScratchBytes(tl_.chunks[i][j], *layer));
-      }
-    }
-    HT_RETURN_IF_ERROR(AllocateWithRetry(&platform_->device(i), S * ws,
-                                         "taskgraph scratch", &degrade_));
-    scratch.emplace_back(&platform_->device(i), S * ws);
-  }
-
-  TaskGraph tg;
-  TaskGraph* tgp = &tg;
-  const TaskGraph::PoolId pool = tg.AddTokenPool(S);
-  std::vector<TaskGraph::NodeId> prev_store;  // layer l-1 stores, by batch
+  TaskGraph& tg = pm->graph;
+  pm->nodes.assign(static_cast<size_t>(L),
+                   std::vector<std::array<TaskGraph::NodeId, 3>>(
+                       static_cast<size_t>(n)));
+  const TaskGraph::PoolId pool = tg.AddTokenPool(pm->window);
+  // Stores of the layer built before this one, by batch: the producers of
+  // the rows this layer's loads read.
+  std::vector<TaskGraph::NodeId> prev_stores;
   TaskGraph::NodeId prev_end[2] = {-1, -1};
-  for (int l = 0; l < L; ++l) {
-    Layer* layer = model_.layer(l);
-    const int ctx = l % 2;
-    const bool cache_l = use_cache_[l];
-
-    TaskGraph::NodeOptions bo;
-    bo.label = "fwd begin l" + std::to_string(l);
-    const TaskGraph::NodeId begin = tg.AddNode(
-        [this, layer, ctx, wire, S](const TaskGraph::NodeContext& nc) {
-          SimPlatform::SetTask(nc.node);
-          return executor_->BeginLayerCtx(ctx, layer->in_dim(), S, wire,
-                                          options_.wire_integrity);
-        },
-        bo);
-    // Layer l reuses layer l-2's comm context; begin must wait for its end.
-    if (prev_end[ctx] >= 0) tg.AddEdge(prev_end[ctx], begin);
-
+  // Built in pass order (the backward top-down), so edges always point
+  // forward in id order.
+  for (int k = 0; k < L; ++k) {
+    const int l = backward ? L - 1 - k : k;
+    // Two comm contexts alternate by layer parity: a layer's begin waits
+    // for the end of the layer two before it.
+    const TaskGraph::NodeId begin = tg.AddNode();
+    if (prev_end[l % 2] >= 0) tg.AddEdge(prev_end[l % 2], begin);
     std::vector<TaskGraph::NodeId> stores(static_cast<size_t>(n), -1);
-    TaskGraph::NodeId prev_load = -1;
-    TaskGraph::NodeId prev_comp = -1;
     for (int j = 0; j < n; ++j) {
       TaskGraph::NodeOptions lo;
-      lo.label = "fwd load l" + std::to_string(l) + " b" + std::to_string(j);
       lo.acquires = pool;
       lo.sim_resource = 0;
-      const TaskGraph::NodeId load = tg.AddNode(
-          [this, ctx, l, j](const TaskGraph::NodeContext& nc) {
-            SimPlatform::SetTask(nc.node);
-            return executor_->ForwardLoadSlotCtx(ctx, j, nc.token, h_[l]);
-          },
-          lo);
+      const TaskGraph::NodeId load = tg.AddNode(lo);
       tg.AddEdge(begin, load);
       // Transition slots advance in place, so loads chain in batch order.
-      if (prev_load >= 0) tg.AddEdge(prev_load, load);
-      if (l > 0) {
-        for (int jd : fwd_dep_batches_[j]) tg.AddEdge(prev_store[jd], load);
+      if (j > 0) tg.AddEdge(pm->nodes[l][j - 1][0], load);
+      if (k > 0 && !backward) {
+        for (int jd : fwd_dep_batches_[j]) tg.AddEdge(prev_stores[jd], load);
       }
-      prev_load = load;
+      if (k > 0 && backward && bwd_dep_batch_[j] >= 0) {
+        tg.AddEdge(prev_stores[static_cast<size_t>(bwd_dep_batch_[j])], load);
+      }
 
+      // Computes of one layer chain in batch order: they share the layer
+      // object (and its parameter gradients in the backward).
       TaskGraph::NodeOptions co;
-      co.label = "fwd comp l" + std::to_string(l) + " b" + std::to_string(j);
       co.sim_resource = 1;
-      const TaskGraph::NodeId comp = tg.AddNode(
-          [this, tgp, layer, ctx, l, j, m, cache_l,
-           load](const TaskGraph::NodeContext& nc) -> Status {
-            SimPlatform::SetTask(nc.node);
-            const int s = tgp->TokenOf(load);
-            std::vector<Tensor>& nbr = executor_->slot_buffers_ctx(ctx, s);
-            for (int i = 0; i < m; ++i) {
-              const Chunk& chunk = tl_.chunks[i][j];
-              if (chunk.num_dst() == 0) continue;
-              const LocalGraph lg =
-                  LocalGraph::FromChunk(chunk, chunk_schedules(i, j));
-              HT_RETURN_IF_ERROR(
-                  layer->Forward(lg, nbr[i], &ws_[s].out[i],
-                                 cache_l ? &ws_[s].agg[i] : nullptr));
-              double flops = 0, bytes = 0;
-              layer->ForwardCost(lg, &flops, &bytes);
-              platform_->AddGpuCompute(i, flops, bytes);
-            }
-            platform_->Synchronize();
-            return Status::OK();
-          },
-          co);
+      const TaskGraph::NodeId comp = tg.AddNode(co);
       tg.AddEdge(load, comp);
-      // Computes of one layer chain in batch order: the layer object itself
-      // is shared mutable state (GAT scratch today, parameter gradients in
-      // the backward), and the analytic model serializes the GPU resource
-      // anyway, so the chain costs no modeled time.
-      if (prev_comp >= 0) tg.AddEdge(prev_comp, comp);
-      prev_comp = comp;
+      if (j > 0) tg.AddEdge(pm->nodes[l][j - 1][1], comp);
 
       TaskGraph::NodeOptions so;
-      so.label = "fwd store l" + std::to_string(l) + " b" + std::to_string(j);
       so.releases_token_of = load;
       so.sim_resource = 2;
-      const TaskGraph::NodeId store = tg.AddNode(
-          [this, tgp, layer, l, j, m, cache_l, wire, eb,
-           load](const TaskGraph::NodeContext& nc) -> Status {
-            SimPlatform::SetTask(nc.node);
-            const int s = tgp->TokenOf(load);
-            for (int i = 0; i < m; ++i) {
-              const Chunk& chunk = tl_.chunks[i][j];
-              if (chunk.num_dst() == 0) continue;
-              HT_RETURN_IF_ERROR(ScatterRows(ws_[s].out[i],
-                                             chunk.dst_vertices, &h_[l + 1],
-                                             wire, &degrade_));
-              platform_->AddH2D(i, chunk.num_dst() * layer->out_dim() * eb);
-              if (cache_l) {
-                HT_RETURN_IF_ERROR(ScatterRows(ws_[s].agg[i],
-                                               chunk.dst_vertices, &cache_[l],
-                                               wire, &degrade_));
-                platform_->AddH2D(i, chunk.num_dst() * layer->agg_dim() * eb);
-              }
-            }
-            platform_->Synchronize();
-            return Status::OK();
-          },
-          so);
+      const TaskGraph::NodeId store = tg.AddNode(so);
       tg.AddEdge(comp, store);
+      // Backward stores accumulate gradients: batch order fixes the sums.
+      if (backward && j > 0) tg.AddEdge(pm->nodes[l][j - 1][2], store);
       stores[static_cast<size_t>(j)] = store;
+      pm->nodes[l][j] = {load, comp, store};
     }
-
-    TaskGraph::NodeOptions eo;
-    eo.label = "fwd end l" + std::to_string(l);
-    const TaskGraph::NodeId end = tg.AddNode(
-        [this, ctx](const TaskGraph::NodeContext& nc) {
-          SimPlatform::SetTask(nc.node);
-          executor_->EndLayerCtx(ctx);
-          return Status::OK();
-        },
-        eo);
-    for (TaskGraph::NodeId s : stores) tg.AddEdge(s, end);
-    prev_end[ctx] = end;
-    prev_store = std::move(stores);
-  }
-
-  platform_->BeginTaskRegion();
-  const Status st = tg.Run();
-  std::vector<double> busy(static_cast<size_t>(tg.num_nodes()), 0.0);
-  for (int nid = 0; nid < tg.num_nodes(); ++nid) {
-    busy[static_cast<size_t>(nid)] = platform_->TaskBusySeconds(nid);
-  }
-  platform_->EndTaskRegion(tg.ScheduleSeconds(busy));
-  // A poisoned graph may have skipped its end nodes; the serial fallback's
-  // BeginLayer must see clean devices either way.
-  executor_->EndLayerCtx(0);
-  executor_->EndLayerCtx(1);
-  return st;
-}
-
-Status HongTuEngine::BackwardPassTaskGraph() {
-  const int m = options_.num_devices;
-  const int n = options_.chunks_per_partition;
-  const int L = model_.num_layers();
-  const int S = WorkspaceSlots();
-  const kernels::CommPrecision wire = options_.comm_precision;
-  const int64_t eb = kernels::CommElemBytes(wire);
-  if (fwd_dep_batches_.empty()) BuildTaskDeps();
-
-  std::vector<DeviceAllocation> scratch;
-  scratch.reserve(static_cast<size_t>(m));
-  for (int i = 0; i < m; ++i) {
-    int64_t ws = 0;
-    for (int l = 0; l < L; ++l) {
-      const Layer* layer = model_.layer(l);
-      for (int j = 0; j < n; ++j) {
-        ws = std::max(
-            ws, BackwardScratchBytes(tl_.chunks[i][j], *layer, use_cache_[l]));
-      }
+    const TaskGraph::NodeId end = tg.AddNode();
+    if (backward) {
+      tg.AddEdge(stores.back(), end);
+    } else {
+      for (TaskGraph::NodeId s : stores) tg.AddEdge(s, end);
     }
-    HT_RETURN_IF_ERROR(AllocateWithRetry(&platform_->device(i), S * ws,
-                                         "taskgraph scratch", &degrade_));
-    scratch.emplace_back(&platform_->device(i), S * ws);
+    prev_end[l % 2] = end;
+    prev_stores = std::move(stores);
   }
-
-  TaskGraph tg;
-  TaskGraph* tgp = &tg;
-  const TaskGraph::PoolId pool = tg.AddTokenPool(S);
-  std::vector<TaskGraph::NodeId> next_store;  // layer l+1 stores, by batch
-  TaskGraph::NodeId prev_end[2] = {-1, -1};
-  // Built top-down (l = L-1 .. 0) so edges always point forward in id order.
-  for (int l = L - 1; l >= 0; --l) {
-    Layer* layer = model_.layer(l);
-    const int ctx = l % 2;
-    const bool cached = use_cache_[l];
-
-    TaskGraph::NodeOptions bo;
-    bo.label = "bwd begin l" + std::to_string(l);
-    const TaskGraph::NodeId begin = tg.AddNode(
-        [this, layer, ctx, l, wire, S, cached](const TaskGraph::NodeContext& nc) {
-          SimPlatform::SetTask(nc.node);
-          grad_[l].Zero();
-          // The hybrid path never loads neighbor slots; one comm slot backs
-          // its transition-gradient buffers (as in the pipelined layer).
-          return executor_->BeginLayerCtx(ctx, layer->in_dim(),
-                                          cached ? 1 : S, wire,
-                                          options_.wire_integrity);
-        },
-        bo);
-    if (prev_end[ctx] >= 0) tg.AddEdge(prev_end[ctx], begin);
-
-    std::vector<TaskGraph::NodeId> stores(static_cast<size_t>(n), -1);
-    TaskGraph::NodeId prev_load = -1;
-    TaskGraph::NodeId prev_comp = -1;
-    TaskGraph::NodeId prev_store_node = -1;
-    for (int j = 0; j < n; ++j) {
-      TaskGraph::NodeOptions lo;
-      lo.label = "bwd load l" + std::to_string(l) + " b" + std::to_string(j);
-      lo.acquires = pool;
-      lo.sim_resource = 0;
-      const TaskGraph::NodeId load = tg.AddNode(
-          [this, layer, ctx, l, j, m, cached, wire,
-           eb](const TaskGraph::NodeContext& nc) -> Status {
-            SimPlatform::SetTask(nc.node);
-            const int s = nc.token;
-            if (!cached) {
-              // Recomputation path: reload the neighbor representations
-              // through the deduplicated communication framework.
-              HT_RETURN_IF_ERROR(
-                  executor_->ForwardLoadSlotCtx(ctx, j, s, h_[l]));
-            }
-            for (int i = 0; i < m; ++i) {
-              const Chunk& chunk = tl_.chunks[i][j];
-              if (chunk.num_dst() == 0) continue;
-              HT_RETURN_IF_ERROR(GatherRows(grad_[l + 1], chunk.dst_vertices,
-                                            &ws_[s].d_dst[i], wire,
-                                            &degrade_));
-              platform_->AddH2D(i, chunk.num_dst() * layer->out_dim() * eb);
-              if (cached) {
-                HT_RETURN_IF_ERROR(GatherRows(cache_[l], chunk.dst_vertices,
-                                              &ws_[s].agg[i], wire,
-                                              &degrade_));
-                platform_->AddH2D(i, chunk.num_dst() * layer->agg_dim() * eb);
-                if (layer->needs_dst_h()) {
-                  HT_RETURN_IF_ERROR(GatherRows(h_[l], chunk.dst_vertices,
-                                                &ws_[s].dst_rows[i], wire,
-                                                &degrade_));
-                  platform_->AddH2D(i,
-                                    chunk.num_dst() * layer->in_dim() * eb);
-                } else {
-                  ws_[s].dst_rows[i].EnsureShape(0, 0);
-                }
-              }
-            }
-            platform_->Synchronize();
-            return Status::OK();
-          },
-          lo);
-      tg.AddEdge(begin, load);
-      // Loads chain in batch order on both paths: the recompute path
-      // advances transition slots in place, and the chain also pins token
-      // acquisition to batch order, which the store chain's in-order token
-      // release relies on for deadlock freedom.
-      if (prev_load >= 0) tg.AddEdge(prev_load, load);
-      if (l < L - 1 && bwd_dep_batch_[j] >= 0) {
-        tg.AddEdge(next_store[static_cast<size_t>(bwd_dep_batch_[j])], load);
-      }
-      prev_load = load;
-
-      TaskGraph::NodeOptions co;
-      co.label = "bwd comp l" + std::to_string(l) + " b" + std::to_string(j);
-      co.sim_resource = 1;
-      const TaskGraph::NodeId comp = tg.AddNode(
-          [this, tgp, layer, ctx, j, m, cached,
-           load](const TaskGraph::NodeContext& nc) -> Status {
-            SimPlatform::SetTask(nc.node);
-            const int s = tgp->TokenOf(load);
-            for (int i = 0; i < m; ++i) {
-              const Chunk& chunk = tl_.chunks[i][j];
-              Tensor& ds = ws_[s].d_src[i];
-              if (chunk.num_dst() == 0) {
-                ds.EnsureShape(0, layer->in_dim());
-                continue;
-              }
-              const LocalGraph lg =
-                  LocalGraph::FromChunk(chunk, chunk_schedules(i, j));
-              ds.EnsureShapeZeroed(chunk.num_neighbors(), layer->in_dim());
-              if (cached) {
-                HT_RETURN_IF_ERROR(layer->BackwardCached(
-                    lg, ws_[s].agg[i], ws_[s].dst_rows[i], ws_[s].d_dst[i],
-                    &ds));
-              } else {
-                HT_RETURN_IF_ERROR(layer->BackwardRecompute(
-                    lg, executor_->slot_buffers_ctx(ctx, s)[i],
-                    ws_[s].d_dst[i], &ds));
-              }
-              double flops = 0, bytes = 0;
-              layer->BackwardCost(lg, cached, &flops, &bytes);
-              platform_->AddGpuCompute(i, flops, bytes);
-            }
-            platform_->Synchronize();
-            return Status::OK();
-          },
-          co);
-      tg.AddEdge(load, comp);
-      // Same-layer computes chain: parameter-gradient accumulation (dw, db)
-      // lives on the shared layer object, so its order is pinned by graph
-      // structure — fp32 sums match the serial loop bitwise.
-      if (prev_comp >= 0) tg.AddEdge(prev_comp, comp);
-      prev_comp = comp;
-
-      TaskGraph::NodeOptions so;
-      so.label = "bwd store l" + std::to_string(l) + " b" + std::to_string(j);
-      so.releases_token_of = load;
-      so.sim_resource = 2;
-      const TaskGraph::NodeId store = tg.AddNode(
-          [this, tgp, ctx, l, j, load](const TaskGraph::NodeContext& nc) {
-            SimPlatform::SetTask(nc.node);
-            const int s = tgp->TokenOf(load);
-            return executor_->BackwardAccumulateCtx(ctx, j, ws_[s].d_src,
-                                                    &grad_[l]);
-          },
-          so);
-      tg.AddEdge(comp, store);
-      // The batch-order store chain *is* the retire-order-independent
-      // accumulation contract: gradient retirement order is pinned by graph
-      // structure, never by thread schedule, so fp32 sums match the serial
-      // loop bitwise.
-      if (prev_store_node >= 0) tg.AddEdge(prev_store_node, store);
-      prev_store_node = store;
-      stores[static_cast<size_t>(j)] = store;
-    }
-
-    TaskGraph::NodeOptions eo;
-    eo.label = "bwd end l" + std::to_string(l);
-    const TaskGraph::NodeId end = tg.AddNode(
-        [this, ctx](const TaskGraph::NodeContext& nc) {
-          SimPlatform::SetTask(nc.node);
-          executor_->EndLayerCtx(ctx);
-          return Status::OK();
-        },
-        eo);
-    tg.AddEdge(prev_store_node, end);
-    prev_end[ctx] = end;
-    next_store = std::move(stores);
-  }
-
-  platform_->BeginTaskRegion();
-  const Status st = tg.Run();
-  std::vector<double> busy(static_cast<size_t>(tg.num_nodes()), 0.0);
-  for (int nid = 0; nid < tg.num_nodes(); ++nid) {
-    busy[static_cast<size_t>(nid)] = platform_->TaskBusySeconds(nid);
-  }
-  platform_->EndTaskRegion(tg.ScheduleSeconds(busy));
-  executor_->EndLayerCtx(0);
-  executor_->EndLayerCtx(1);
-  return st;
+  pm->busy.assign(static_cast<size_t>(tg.num_nodes()), 0.0);
 }
 
 Status HongTuEngine::AllReduceAndStep() {

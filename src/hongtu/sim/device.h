@@ -20,9 +20,7 @@
 
 namespace hongtu {
 
-/// A single simulated device's memory book-keeping. Lock-free thread-safe:
-/// the task-graph executor's layer begin/end nodes allocate and free
-/// concurrently from worker threads.
+/// A single simulated device's memory book-keeping. Lock-free thread-safe.
 class SimDevice {
  public:
   SimDevice(int id, int64_t capacity_bytes)

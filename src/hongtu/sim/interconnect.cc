@@ -4,13 +4,6 @@
 
 namespace hongtu {
 
-namespace {
-/// Lane binding for the calling thread; see SimPlatform::SetLane.
-thread_local int t_lane = 0;
-/// Task binding for the calling thread; see SimPlatform::SetTask.
-thread_local int t_task = -1;
-}  // namespace
-
 TimeBreakdown& TimeBreakdown::operator+=(const TimeBreakdown& o) {
   gpu += o.gpu;
   h2d += o.h2d;
@@ -48,39 +41,13 @@ SimPlatform::SimPlatform(int num_devices, int64_t device_capacity_bytes,
   for (int i = 0; i < num_devices; ++i) {
     devices_.emplace_back(i, device_capacity_bytes);
   }
-  lanes_.resize(1);
-  lanes_[0].pending.resize(static_cast<size_t>(num_devices));
-}
-
-SimPlatform::Lane& SimPlatform::CurrentLaneLocked() {
-  if (task_region_active_) {
-    Lane& lane = tasks_[t_task];
-    if (lane.pending.size() != devices_.size()) {
-      lane.pending.resize(devices_.size());
-    }
-    return lane;
-  }
-  if (!overlap_active_) return lanes_[0];
-  const int lane = std::min(std::max(t_lane, 0),
-                            static_cast<int>(lanes_.size()) - 1);
-  return lanes_[static_cast<size_t>(lane)];
-}
-
-TimeBreakdown SimPlatform::DrainPhaseLocked(Lane* lane) {
-  TimeBreakdown phase;
-  for (auto& p : lane->pending) {
-    phase = TimeBreakdown::Max(phase, p);
-    p = TimeBreakdown();
-  }
-  phase += lane->host_pending;
-  lane->host_pending = TimeBreakdown();
-  return phase;
+  pending_.resize(static_cast<size_t>(num_devices));
 }
 
 void SimPlatform::AddH2D(int dev, int64_t bytes) {
   if (bytes <= 0) return;
   std::lock_guard<std::mutex> lock(mu_);
-  CurrentLaneLocked().pending[dev].h2d +=
+  pending_[dev].h2d +=
       static_cast<double>(bytes) / params_.t_hd + params_.xfer_latency_s;
   total_bytes_.h2d += bytes;
 }
@@ -88,7 +55,7 @@ void SimPlatform::AddH2D(int dev, int64_t bytes) {
 void SimPlatform::AddH2DRemote(int dev, int64_t bytes) {
   if (bytes <= 0) return;
   std::lock_guard<std::mutex> lock(mu_);
-  CurrentLaneLocked().pending[dev].h2d +=
+  pending_[dev].h2d +=
       static_cast<double>(bytes) / params_.t_hd_remote +
       params_.xfer_latency_s;
   total_bytes_.h2d += bytes;
@@ -97,7 +64,7 @@ void SimPlatform::AddH2DRemote(int dev, int64_t bytes) {
 void SimPlatform::AddD2D(int dev, int64_t bytes) {
   if (bytes <= 0) return;
   std::lock_guard<std::mutex> lock(mu_);
-  CurrentLaneLocked().pending[dev].d2d +=
+  pending_[dev].d2d +=
       static_cast<double>(bytes) / params_.t_dd + params_.xfer_latency_s;
   total_bytes_.d2d += bytes;
 }
@@ -105,125 +72,51 @@ void SimPlatform::AddD2D(int dev, int64_t bytes) {
 void SimPlatform::AddReuse(int dev, int64_t bytes) {
   if (bytes <= 0) return;
   std::lock_guard<std::mutex> lock(mu_);
-  CurrentLaneLocked().pending[dev].ru +=
+  pending_[dev].ru +=
       static_cast<double>(bytes) / params_.t_ru;
   total_bytes_.ru += bytes;
 }
 
 void SimPlatform::AddGpuCompute(int dev, double flops, double bytes) {
   std::lock_guard<std::mutex> lock(mu_);
-  CurrentLaneLocked().pending[dev].gpu +=
+  pending_[dev].gpu +=
       std::max(flops / params_.gpu_flops, bytes / params_.gpu_mem_bw) +
       params_.kernel_launch_s;
 }
 
 void SimPlatform::AddCpuAccum(int64_t bytes) {
   std::lock_guard<std::mutex> lock(mu_);
-  CurrentLaneLocked().host_pending.cpu +=
+  host_pending_.cpu +=
       static_cast<double>(bytes) / params_.cpu_accum_bw;
   total_bytes_.cpu_accum += bytes;
 }
 
 void SimPlatform::AddCpuSeconds(double secs) {
   std::lock_guard<std::mutex> lock(mu_);
-  CurrentLaneLocked().host_pending.cpu += secs;
+  host_pending_.cpu += secs;
 }
 
 void SimPlatform::Synchronize() {
   std::lock_guard<std::mutex> lock(mu_);
-  Lane& lane = CurrentLaneLocked();
-  const TimeBreakdown phase = DrainPhaseLocked(&lane);
-  if (overlap_active_ || task_region_active_) {
-    lane.total += phase;
-  } else {
-    total_time_ += phase;
+  TimeBreakdown phase;
+  for (auto& p : pending_) {
+    phase = TimeBreakdown::Max(phase, p);
+    p = TimeBreakdown();
   }
+  phase += host_pending_;
+  host_pending_ = TimeBreakdown();
+  total_time_ += phase;
 }
 
-void SimPlatform::BeginOverlap(int num_lanes) {
+void SimPlatform::RecordOverlap(double busy_seconds, double floor_seconds,
+                                double modeled_wall_seconds) {
+  // The modeled wall may extend the floor (stage dependencies and the
+  // in-flight window keep the bottleneck from running gap-free) but never
+  // hide the floor's own busy time, nor exceed fully serial execution.
+  const double wall = std::min(
+      busy_seconds, std::max(floor_seconds, modeled_wall_seconds));
   std::lock_guard<std::mutex> lock(mu_);
-  // Whatever is pending on the serial lane belongs to the serial timeline.
-  total_time_ += DrainPhaseLocked(&lanes_[0]);
-  lanes_.assign(static_cast<size_t>(std::max(1, num_lanes)), Lane());
-  for (auto& lane : lanes_) lane.pending.resize(devices_.size());
-  overlap_active_ = true;
-}
-
-void SimPlatform::EndOverlap() { EndOverlap(0.0); }
-
-void SimPlatform::EndOverlap(double modeled_wall_seconds) {
-  std::lock_guard<std::mutex> lock(mu_);
-  TimeBreakdown region;
-  double critical_path = 0.0;
-  double lane_sum = 0.0;
-  for (auto& lane : lanes_) {
-    lane.total += DrainPhaseLocked(&lane);
-    region += lane.total;
-    critical_path = std::max(critical_path, lane.total.total());
-    lane_sum += lane.total.total();
-  }
-  // The modeled wall may extend the critical path (stage dependencies and
-  // the depth window keep the bottleneck lane from running gap-free) but
-  // never hide a lane's own busy time, nor exceed fully serial execution.
-  critical_path =
-      std::min(lane_sum, std::max(critical_path, modeled_wall_seconds));
-  // Busy components add in full (the Fig. 9 stacks stay comparable across
-  // executors); the seconds hidden behind the slowest lane move into
-  // `overlapped` so total() stays the critical path.
-  region.overlapped += region.total() - critical_path;
-  total_time_ += region;
-  lanes_.assign(1, Lane());
-  lanes_[0].pending.resize(devices_.size());
-  overlap_active_ = false;
-}
-
-void SimPlatform::SetLane(int lane) { t_lane = lane; }
-
-double SimPlatform::LaneBusySeconds(int lane) {
-  std::lock_guard<std::mutex> lock(mu_);
-  if (lane < 0 || lane >= static_cast<int>(lanes_.size())) return 0.0;
-  Lane& l = lanes_[static_cast<size_t>(lane)];
-  l.total += DrainPhaseLocked(&l);
-  return l.total.total();
-}
-
-void SimPlatform::BeginTaskRegion() {
-  std::lock_guard<std::mutex> lock(mu_);
-  // Pending serial work belongs to the serial timeline, as in BeginOverlap.
-  total_time_ += DrainPhaseLocked(&lanes_[0]);
-  tasks_.clear();
-  task_region_active_ = true;
-}
-
-void SimPlatform::EndTaskRegion(double modeled_wall_seconds) {
-  std::lock_guard<std::mutex> lock(mu_);
-  TimeBreakdown region;
-  double host_serial = 0.0;
-  for (auto& [id, lane] : tasks_) {
-    lane.total += DrainPhaseLocked(&lane);
-    region += lane.total;
-    // The host context (-1) is not a graph node: nothing models its
-    // concurrency, so it extends the wall serially.
-    if (id < 0) host_serial += lane.total.total();
-  }
-  // Clamp: the modeled schedule can never beat perfect overlap of the busy
-  // seconds actually metered.
-  const double wall =
-      std::min(region.total(), modeled_wall_seconds + host_serial);
-  region.overlapped += region.total() - wall;
-  total_time_ += region;
-  tasks_.clear();
-  task_region_active_ = false;
-}
-
-void SimPlatform::SetTask(int task) { t_task = task; }
-
-double SimPlatform::TaskBusySeconds(int task) {
-  std::lock_guard<std::mutex> lock(mu_);
-  auto it = tasks_.find(task);
-  if (it == tasks_.end()) return 0.0;
-  it->second.total += DrainPhaseLocked(&it->second);
-  return it->second.total.busy();
+  total_time_.overlapped += busy_seconds - wall;
 }
 
 int64_t SimPlatform::MaxDevicePeak() const {

@@ -12,7 +12,6 @@
 #include <cstdint>
 #include <mutex>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "hongtu/sim/device.h"
@@ -45,20 +44,21 @@ struct InterconnectParams {
 /// Wall-clock attribution matching Figure 9's stacked bars.
 ///
 /// The component fields are *busy* seconds: how long each resource class was
-/// occupied. Under the serial chunk executor the resources run one after
-/// another, so wall time is simply their sum. Under the pipelined executor
-/// the communication lanes run concurrently with compute, and summing the
-/// components would double-count the hidden seconds — `overlapped` records
-/// exactly that hidden amount, so `total()` stays the critical-path wall
-/// time in both modes while the stacked components remain comparable.
+/// occupied. Under the serial executor the resources run one after another,
+/// so wall time is simply their sum. Under the pipelined and task-graph
+/// executors the modeled schedule runs the communication stages concurrently
+/// with compute, and summing the components would double-count the hidden
+/// seconds — `overlapped` records exactly that hidden amount, so `total()`
+/// stays the critical-path wall time in every mode while the stacked
+/// components remain comparable.
 struct TimeBreakdown {
   double gpu = 0;  ///< simulated-GPU kernel time
   double h2d = 0;  ///< host<->device transfers (both directions, PCIe)
   double d2d = 0;  ///< inter-GPU transfers (NVLink)
   double cpu = 0;  ///< host-side gradient accumulation / loss
   double ru = 0;   ///< in-place reuse (usually negligible)
-  /// Busy seconds hidden behind other lanes by pipelined overlap (0 when the
-  /// serial executor ran).
+  /// Busy seconds hidden behind other stages by the modeled overlap (0 when
+  /// the serial executor ran).
   double overlapped = 0;
 
   /// Sum of busy seconds, ignoring overlap (the Fig. 9 stacked bars).
@@ -84,14 +84,10 @@ struct ByteCounters {
 ///
 /// Engines call the Add* methods around every simulated transfer/kernel;
 /// per-device timelines are kept separately and merged with max() per
-/// synchronization phase, modeling devices running concurrently.
-///
-/// All metering methods are thread-safe: the pipelined chunk executor calls
-/// them from its stage worker threads. Inside an overlap region (see
-/// BeginOverlap) each stage thread binds itself to a *lane*; phases
-/// synchronized on that thread accumulate into the lane's running total,
-/// and EndOverlap charges the region at the slowest lane (the pipeline
-/// critical path), recording the rest as `overlapped` seconds.
+/// synchronization phase, modeling devices running concurrently. Phases
+/// accumulate serially; an engine that models overlap between its phases
+/// (see RecordOverlap) reports the hidden share afterwards. The metering
+/// methods are thread-safe.
 class SimPlatform {
  public:
   SimPlatform(int num_devices, int64_t device_capacity_bytes,
@@ -119,50 +115,20 @@ class SimPlatform {
 
   /// Ends a synchronization phase: folds max-over-devices of the per-device
   /// deltas into the epoch total and clears the deltas (Algorithm 2/3 end
-  /// with synchronize(); this models that barrier). Inside an overlap
-  /// region the phase is folded into the calling thread's lane instead.
+  /// with synchronize(); this models that barrier).
   void Synchronize();
 
-  /// Starts an overlap region with `num_lanes` concurrent pipeline lanes.
-  /// Until EndOverlap, phases fold into per-lane totals keyed by the
-  /// calling thread's lane (SetLane).
-  void BeginOverlap(int num_lanes);
-  /// Ends the overlap region: the region's wall time is the slowest lane's
-  /// busy total; the sum over the other lanes is added to `overlapped`.
-  void EndOverlap();
-  /// Ends the overlap region at an explicitly modeled wall time (e.g. the
-  /// in-order stage recurrence the pipelined executor replays over its
-  /// per-item lane costs — see RunPipelinedLayer). The charge is clamped
-  /// between the slowest lane (no model may hide a lane's own busy time)
-  /// and the busy sum (no model may beat zero overlap).
-  void EndOverlap(double modeled_wall_seconds);
-  /// Binds the calling thread to a lane (thread-local; 0 by default).
-  static void SetLane(int lane);
-  /// Busy seconds accumulated by lane `lane` so far inside the current
-  /// overlap region (drains the lane's pending phase first). The pipelined
-  /// executor samples this around an item's stage call to meter that item.
-  double LaneBusySeconds(int lane);
-
-  // ---- Task-region metering: the 3 fixed lanes generalized to N concurrent
-  // nodes for the task-graph executor. Each graph node binds its thread to
-  // its node id (SetTask) and meters as usual; per-node busy seconds come
-  // back through TaskBusySeconds, the executor's deterministic list-schedule
-  // turns them into a modeled wall time, and EndTaskRegion charges the
-  // region at that wall, moving the hidden seconds into `overlapped` exactly
-  // like EndOverlap does for lanes.
-
-  /// Starts a task region. Until EndTaskRegion, phases fold into per-task
-  /// totals keyed by the calling thread's task id (SetTask; id -1 is the
-  /// host serial context and is added to the region wall, not overlapped).
-  void BeginTaskRegion();
-  /// Ends the task region with the modeled wall seconds of the concurrent
-  /// nodes (e.g. TaskGraph::ScheduleSeconds over the per-node busy times).
-  void EndTaskRegion(double modeled_wall_seconds);
-  /// Binds the calling thread to a task id (thread-local; -1 = host).
-  static void SetTask(int task);
-  /// Busy seconds accumulated by task `task` so far (drains its pending
-  /// phase first). 0 for tasks that never metered anything.
-  double TaskBusySeconds(int task);
+  /// Records that `busy_seconds` of already-synchronized phases ran in a
+  /// modeled schedule whose wall time is `modeled_wall_seconds` (e.g. the
+  /// pipeline recurrence or the task graph's list schedule over the phases'
+  /// metered costs). The charge is clamped between `floor_seconds` (the
+  /// longest chain no schedule can hide, such as the slowest pipeline
+  /// stage's busy total) and `busy_seconds` (no model may beat zero
+  /// overlap); the busy seconds hidden below that charge move into
+  /// `overlapped`, so time().total() becomes the modeled critical path while
+  /// the busy components stay as metered.
+  void RecordOverlap(double busy_seconds, double floor_seconds,
+                     double modeled_wall_seconds);
 
   /// Epoch totals since the last ResetEpoch (call Synchronize() first).
   const TimeBreakdown& time() const { return total_time_; }
@@ -196,28 +162,12 @@ class SimPlatform {
   void ResetPeaks();
 
  private:
-  /// Per-lane accumulation context: per-device pending deltas for the
-  /// current phase, host-side pending, and the lane's folded total.
-  struct Lane {
-    std::vector<TimeBreakdown> pending;  ///< per-device, current phase
-    TimeBreakdown host_pending;
-    TimeBreakdown total;
-  };
-
-  /// The lane the calling thread writes to (clamped to the region size);
-  /// outside an overlap region always lane 0.
-  Lane& CurrentLaneLocked();
-  /// Max-over-devices + host pending of `lane`; clears the pendings.
-  static TimeBreakdown DrainPhaseLocked(Lane* lane);
-
   std::vector<SimDevice> devices_;
   InterconnectParams params_;
   mutable std::mutex mu_;
-  std::vector<Lane> lanes_;  ///< size 1 outside overlap regions
-  bool overlap_active_ = false;
-  /// Per-task contexts of the active task region (created on first meter).
-  std::unordered_map<int, Lane> tasks_;
-  bool task_region_active_ = false;
+  /// Per-device deltas of the current phase, and the host-side share.
+  std::vector<TimeBreakdown> pending_;
+  TimeBreakdown host_pending_;
   TimeBreakdown total_time_;
   ByteCounters total_bytes_;
   PoolStats pool_epoch_base_;  ///< pool counters at the last ResetEpoch

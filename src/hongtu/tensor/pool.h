@@ -14,8 +14,7 @@
 /// granules above, bounding per-buffer waste to 12.5% while mapping the
 /// slightly varying chunk shapes of one layer onto a handful of buckets.
 ///
-/// Thread safety: all methods are safe to call concurrently (the pipelined
-/// executor's three stage lanes allocate and release from worker threads).
+/// Thread safety: all methods are safe to call concurrently.
 ///
 /// Escape hatch: HONGTU_DISABLE_POOL=1 restores the pre-pool allocation
 /// behavior for A/B comparison — every acquire hits the heap, every release

@@ -5,6 +5,7 @@
 
 #include <atomic>
 #include <set>
+#include <vector>
 
 #include "hongtu/common/format.h"
 #include "hongtu/common/logging.h"
@@ -180,6 +181,48 @@ TEST(Parallel, SmallRangeRunsSerially) {
   std::vector<int> hits(10, 0);
   ParallelFor(0, 10, [&](int64_t i) { hits[i]++; });
   for (int h : hits) EXPECT_EQ(h, 1);
+}
+
+TEST(Parallel, NestedHelpersVisitEveryIndexOnce) {
+  // Called from inside an enclosing parallel region, the helpers get a
+  // smaller team than NumThreads() asks for (a single thread when nested
+  // parallelism is off); every index must still be visited exactly once.
+  const int saved_threads = NumThreads();
+  SetNumThreads(4);
+  constexpr int64_t kN = 5000;
+  std::vector<int64_t> prefix(kN + 1, 0);
+  for (int64_t i = 0; i < kN; ++i) prefix[i + 1] = prefix[i] + 1 + i % 7;
+  for (const int team : {1, 2, 4}) {
+    // visits[outer thread][helper][index]
+    std::vector<std::vector<std::vector<int>>> visits(
+        static_cast<size_t>(team),
+        std::vector<std::vector<int>>(2, std::vector<int>(kN, 0)));
+#pragma omp parallel num_threads(team)
+    {
+      auto& mine = visits[static_cast<size_t>(omp_get_thread_num())];
+      ParallelForChunked(0, kN, [&](int64_t lo, int64_t hi) {
+        for (int64_t i = lo; i < hi; ++i) ++mine[0][static_cast<size_t>(i)];
+      });
+      ParallelForBalanced(kN, prefix.data(), /*serial_below_weight=*/0,
+                          [&](int64_t lo, int64_t hi) {
+                            for (int64_t i = lo; i < hi; ++i) {
+                              ++mine[1][static_cast<size_t>(i)];
+                            }
+                          });
+    }
+    for (int t = 0; t < team; ++t) {
+      for (int h = 0; h < 2; ++h) {
+        for (int64_t i = 0; i < kN; ++i) {
+          ASSERT_EQ(visits[static_cast<size_t>(t)][static_cast<size_t>(h)]
+                          [static_cast<size_t>(i)],
+                    1)
+              << "team " << team << " outer thread " << t
+              << (h == 0 ? " chunked" : " balanced") << " index " << i;
+        }
+      }
+    }
+  }
+  SetNumThreads(saved_threads);
 }
 
 TEST(Format, Bytes) {

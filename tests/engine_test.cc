@@ -5,8 +5,11 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
 #include <tuple>
+#include <vector>
 
+#include "hongtu/common/parallel.h"
 #include "hongtu/engine/cpu_cluster_engine.h"
 #include "hongtu/engine/hongtu_engine.h"
 #include "hongtu/engine/inmemory_engine.h"
@@ -145,7 +148,7 @@ TEST(HongTuEngine, Fp16WireTrainsAndHalvesCommBytes) {
     // Serial executor: epoch time is the sum of busy seconds, so the
     // halved wire must show up as a strict total-time drop (under overlap
     // a fully hidden comm lane could mask it).
-    o.pipeline_depth = 0;
+    o.executor = ExecutorKind::kSerial;
     auto e = HongTuEngine::Create(&ds, cfg, o);
     EXPECT_TRUE(e.ok());
     auto r = e.ValueOrDie()->TrainEpoch();
@@ -231,6 +234,69 @@ TEST(HongTuEngine, EdgeSchedulesAreMeteredAndOptional) {
     auto rb = eoff.ValueOrDie()->TrainEpoch();
     ASSERT_TRUE(ra.ok() && rb.ok());
     EXPECT_NEAR(ra.ValueOrDie().loss, rb.ValueOrDie().loss, 1e-3);
+  }
+}
+
+/// The invariants every compiled schedule must meet: edge_perm is a
+/// bijection on [0, E), and the zero-row list names exactly the output rows
+/// without edges.
+void ExpectScheduleInvariants(const kernels::EdgeSchedule& s, int64_t num_out,
+                              const int64_t* offsets, const std::string& what) {
+  const int64_t E = offsets[num_out];
+  ASSERT_EQ(s.num_edges(), E) << what;
+  std::vector<int> seen(static_cast<size_t>(E), 0);
+  for (int64_t k = 0; k < E; ++k) {
+    const int32_t e = s.edge_perm()[k];
+    ASSERT_GE(e, 0) << what;
+    ASSERT_LT(e, E) << what;
+    ++seen[static_cast<size_t>(e)];
+  }
+  for (int64_t e = 0; e < E; ++e) {
+    ASSERT_EQ(seen[static_cast<size_t>(e)], 1) << what << " edge " << e;
+  }
+  if (E == 0) return;
+  std::vector<int> zero(static_cast<size_t>(num_out), 0);
+  for (int64_t z = 0; z < s.num_zero_rows(); ++z) {
+    const int32_t r = s.zero_rows()[z];
+    ASSERT_GE(r, 0) << what;
+    ASSERT_LT(r, num_out) << what;
+    ++zero[static_cast<size_t>(r)];
+  }
+  for (int64_t d = 0; d < num_out; ++d) {
+    ASSERT_EQ(zero[static_cast<size_t>(d)], offsets[d + 1] == offsets[d] ? 1 : 0)
+        << what << " row " << d;
+  }
+}
+
+TEST(HongTuEngine, NestedScheduleBuildMeetsInvariants) {
+  // The engine compiles its chunks' schedules chunk-parallel, and each
+  // build is shard-parallel inside that region. The inner helpers must
+  // cover every shard whatever team size the nested region actually gets.
+  const int saved_threads = NumThreads();
+  SetNumThreads(4);
+  Dataset ds = SmallDataset("it-2004", 0.2);
+  ModelConfig cfg = ModelConfig::Make(GnnKind::kGcn, ds.feature_dim(), 16,
+                                      ds.num_classes, 2, 31);
+  HongTuOptions o;
+  o.num_devices = 2;
+  o.chunks_per_partition = 8;
+  o.device_capacity_bytes = kBig;
+  auto e = HongTuEngine::Create(&ds, cfg, o);
+  SetNumThreads(saved_threads);
+  ASSERT_TRUE(e.ok()) << e.status().ToString();
+  const HongTuEngine& engine = *e.ValueOrDie();
+  for (int i = 0; i < o.num_devices; ++i) {
+    for (int j = 0; j < o.chunks_per_partition; ++j) {
+      const ChunkSchedules* cs = engine.chunk_schedules(i, j);
+      ASSERT_NE(cs, nullptr);
+      const Chunk& c = engine.partition().chunks[i][j];
+      const std::string at =
+          "chunk (" + std::to_string(i) + ", " + std::to_string(j) + ")";
+      ExpectScheduleInvariants(cs->gather, c.num_dst(), c.in_offsets.data(),
+                               at + " gather");
+      ExpectScheduleInvariants(cs->scatter, c.num_neighbors(),
+                               c.src_offsets.data(), at + " scatter");
+    }
   }
 }
 

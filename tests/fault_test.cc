@@ -14,6 +14,7 @@
 #include <functional>
 #include <memory>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "hongtu/common/crc32c.h"
@@ -228,18 +229,23 @@ TEST_F(FaultTest, RetryPropagatesPermanentImmediately) {
 
 // ---- Fault matrix: transient faults leave training bitwise unchanged. -----
 
-class TransientSiteTest : public ::testing::TestWithParam<fault::Site> {
+/// (site, injected kind). Besides kTransient, the wire-shaped kinds fire at
+/// comm.fetch: drop and disconnect fail retryably like a transient, delay
+/// only stalls.
+class TransientSiteTest
+    : public ::testing::TestWithParam<std::tuple<fault::Site, fault::Kind>> {
  protected:
   void TearDown() override { fault::DisarmAll(); }
 };
 
 TEST_P(TransientSiteTest, RecoveredEpochMatchesCleanBitwise) {
-  const fault::Site site = GetParam();
+  const fault::Site site = std::get<0>(GetParam());
+  const fault::Kind kind = std::get<1>(GetParam());
   Dataset ds = SmallDataset();
   const std::vector<double> clean = RunLosses(ds, BaseOptions(), 3);
 
   fault::SiteSpec spec;
-  spec.kind = fault::Kind::kTransient;
+  spec.kind = kind;
   spec.prob = 1.0;
   spec.seed = 3;
   spec.max_count = 2;  // two injected failures, both absorbed by retries
@@ -258,15 +264,29 @@ TEST_P(TransientSiteTest, RecoveredEpochMatchesCleanBitwise) {
   // The recovery must actually have fired — a silently-unvisited site would
   // make this test vacuous.
   EXPECT_GT(fired, 0) << fault::SiteName(site);
-  EXPECT_GT(recovery.total(), 0) << recovery.ToString();
+  if (kind == fault::Kind::kDelay) {
+    // A stall is not a failure: nothing to retry.
+    EXPECT_EQ(recovery.total(), 0) << recovery.ToString();
+  } else {
+    EXPECT_GT(recovery.total(), 0) << recovery.ToString();
+  }
 }
 
-INSTANTIATE_TEST_SUITE_P(AllRetrySites, TransientSiteTest,
-                         ::testing::Values(fault::Site::kPoolAlloc,
-                                           fault::Site::kCommFetch,
-                                           fault::Site::kCommFlush,
-                                           fault::Site::kDeviceH2D,
-                                           fault::Site::kPipelineStage));
+INSTANTIATE_TEST_SUITE_P(
+    AllRetrySites, TransientSiteTest,
+    ::testing::Combine(::testing::Values(fault::Site::kPoolAlloc,
+                                         fault::Site::kCommFetch,
+                                         fault::Site::kCommFlush,
+                                         fault::Site::kDeviceH2D,
+                                         fault::Site::kPipelineStage),
+                       ::testing::Values(fault::Kind::kTransient)));
+
+INSTANTIATE_TEST_SUITE_P(
+    NetKindsAtCommFetch, TransientSiteTest,
+    ::testing::Combine(::testing::Values(fault::Site::kCommFetch),
+                       ::testing::Values(fault::Kind::kDrop,
+                                         fault::Kind::kDelay,
+                                         fault::Kind::kDisconnect)));
 
 TEST_F(FaultTest, PermanentFaultIsACleanError) {
   Dataset ds = SmallDataset();
@@ -630,6 +650,47 @@ TEST_F(FaultTest, Crc32cKnownAnswersAndChaining) {
   std::memcpy(buf, s, 9);
   buf[4] ^= 1;
   EXPECT_NE(Crc32c(buf, 9), Crc32c(s, 9));
+}
+
+TEST_F(FaultTest, Crc32cBothImplementationsMatchRfc3720) {
+  // RFC 3720 appendix B.4 known answers, checked against the dispatching
+  // Crc32c (the SSE4.2 instruction where the build targets it) and the
+  // portable slice-by-8 Crc32cSoftware alike.
+  using Fn = uint32_t (*)(const void*, size_t, uint32_t);
+  for (Fn crc : {static_cast<Fn>(&Crc32c), static_cast<Fn>(&Crc32cSoftware)}) {
+    unsigned char buf[48];
+    std::memset(buf, 0x00, 32);
+    EXPECT_EQ(crc(buf, 32, 0), 0x8a9136aau);  // 32 bytes of zeros
+    std::memset(buf, 0xff, 32);
+    EXPECT_EQ(crc(buf, 32, 0), 0x62a8ab43u);  // 32 bytes of ones
+    for (int i = 0; i < 32; ++i) buf[i] = static_cast<unsigned char>(i);
+    EXPECT_EQ(crc(buf, 32, 0), 0x46dd794eu);  // incrementing
+    for (int i = 0; i < 32; ++i) buf[i] = static_cast<unsigned char>(31 - i);
+    EXPECT_EQ(crc(buf, 32, 0), 0x113fdb5cu);  // decrementing
+    // An iSCSI SCSI Read (10) command PDU.
+    const unsigned char pdu[48] = {
+        0x01, 0xc0, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+        0x00, 0x00, 0x00, 0x00, 0x14, 0x00, 0x00, 0x00, 0x00, 0x00, 0x04, 0x00,
+        0x00, 0x00, 0x00, 0x14, 0x00, 0x00, 0x00, 0x18, 0x28, 0x00, 0x00, 0x00,
+        0x00, 0x00, 0x00, 0x00, 0x02, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00};
+    EXPECT_EQ(crc(pdu, sizeof(pdu), 0), 0xd9963a56u);
+    EXPECT_EQ(crc("123456789", 9, 0), 0xe3069283u);
+    EXPECT_EQ(crc(pdu, 0, 0), 0u);
+  }
+  // Every length and misalignment the slice-by-8 head/tail split sees: the
+  // two implementations agree, including when chained.
+  unsigned char data[67];
+  for (size_t i = 0; i < sizeof(data); ++i) {
+    data[i] = static_cast<unsigned char>(i * 37 + 11);
+  }
+  for (size_t off = 0; off < 8; ++off) {
+    for (size_t n = 0; off + n <= sizeof(data); ++n) {
+      EXPECT_EQ(Crc32cSoftware(data + off, n), Crc32c(data + off, n))
+          << "off " << off << " n " << n;
+    }
+  }
+  EXPECT_EQ(Crc32cSoftware(data + 5, 40, Crc32cSoftware(data, 5)),
+            Crc32c(data, 45));
 }
 
 }  // namespace

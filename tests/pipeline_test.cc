@@ -1,160 +1,22 @@
-// Pipelined chunk executor tests. Two layers of coverage: the StagePipeline
-// runtime itself (ordering, depth bound, error poisoning — the TSan CI job
-// runs exactly this binary), and the end-to-end pin that the pipelined
-// epoch loop (pipeline_depth >= 2) matches the serial loop
-// (pipeline_depth = 0) on loss/accuracy/parameters for every layer type,
-// dedup level, and chunk count, including the single-chunk degenerate case.
+// Pipeline-model tests. Two layers of coverage: the platform's overlap
+// charge (RecordOverlap and its clamps), and the end-to-end pin that an
+// epoch charged under the pipeline model (executor = pipeline, window >= 2)
+// matches the serial executor on loss/accuracy/parameters for every layer
+// type, dedup level, and chunk count, including the single-chunk degenerate
+// case, while its modeled time hides communication behind compute.
 
 #include <gtest/gtest.h>
 
-#include <atomic>
-#include <mutex>
+#include <algorithm>
 #include <tuple>
 #include <vector>
 
-#include "hongtu/common/pipeline.h"
 #include "hongtu/engine/hongtu_engine.h"
 
 namespace hongtu {
 namespace {
 
 constexpr int64_t kBig = 1ll << 40;
-
-// ---- StagePipeline runtime -------------------------------------------------
-
-TEST(StagePipeline, StagesRetireInOrder) {
-  std::mutex mu;
-  std::vector<std::pair<int, int64_t>> events;  // (stage, item)
-  std::vector<StagePipeline::StageFn> stages;
-  for (int s = 0; s < 3; ++s) {
-    stages.push_back([&, s](int64_t item) {
-      std::lock_guard<std::mutex> lock(mu);
-      events.emplace_back(s, item);
-      return Status::OK();
-    });
-  }
-  {
-    StagePipeline pipe(std::move(stages), 2);
-    for (int64_t j = 0; j < 7; ++j) ASSERT_TRUE(pipe.Submit(j).ok());
-    ASSERT_TRUE(pipe.Flush().ok());
-  }
-  ASSERT_EQ(events.size(), 21u);
-  // Per stage: items strictly FIFO. Per item: stage 0 before 1 before 2.
-  std::vector<int64_t> next(3, 0);
-  std::vector<int> reached(7, -1);
-  for (const auto& [s, item] : events) {
-    EXPECT_EQ(item, next[s]) << "stage " << s;
-    ++next[s];
-    EXPECT_EQ(reached[item], s - 1) << "item " << item;
-    reached[item] = s;
-  }
-}
-
-TEST(StagePipeline, DepthBoundsInFlight) {
-  std::mutex mu;
-  int64_t in_flight = 0;
-  int64_t max_in_flight = 0;
-  std::vector<StagePipeline::StageFn> stages;
-  stages.push_back([&](int64_t) {
-    std::lock_guard<std::mutex> lock(mu);
-    max_in_flight = std::max(max_in_flight, ++in_flight);
-    return Status::OK();
-  });
-  stages.push_back([](int64_t) { return Status::OK(); });
-  stages.push_back([&](int64_t) {
-    std::lock_guard<std::mutex> lock(mu);
-    --in_flight;
-    return Status::OK();
-  });
-  {
-    StagePipeline pipe(std::move(stages), 3);
-    for (int64_t j = 0; j < 32; ++j) ASSERT_TRUE(pipe.Submit(j).ok());
-    ASSERT_TRUE(pipe.Flush().ok());
-  }
-  EXPECT_LE(max_in_flight, 3);
-  EXPECT_EQ(in_flight, 0);
-}
-
-TEST(StagePipeline, ErrorPoisonsRemainingWork) {
-  std::atomic<int> late_stage_runs{0};
-  std::vector<StagePipeline::StageFn> stages;
-  stages.push_back([](int64_t item) {
-    return item == 2 ? Status::Internal("stage 0 failed on item 2")
-                     : Status::OK();
-  });
-  stages.push_back([&](int64_t item) {
-    if (item >= 2) ++late_stage_runs;
-    return Status::OK();
-  });
-  StagePipeline pipe(std::move(stages), 2);
-  Status last = Status::OK();
-  for (int64_t j = 0; j < 6; ++j) last = pipe.Submit(j);
-  const Status st = pipe.Flush();
-  EXPECT_FALSE(st.ok());
-  EXPECT_NE(st.message().find("item 2"), std::string::npos);
-  // Items after the failure are skipped, not executed.
-  EXPECT_EQ(late_stage_runs.load(), 0);
-}
-
-TEST(StagePipeline, FirstErrorCarriesStageItemAndCause) {
-  std::vector<StagePipeline::StageFn> stages;
-  stages.push_back([](int64_t) { return Status::OK(); });
-  stages.push_back([](int64_t item) {
-    return item == 3 ? Status::Unavailable("flaky link") : Status::OK();
-  });
-  StagePipeline pipe(std::move(stages), 2);
-  for (int64_t j = 0; j < 5; ++j) pipe.Submit(j);
-  const Status st = pipe.Flush();
-  ASSERT_FALSE(st.ok());
-  // The wrapped sticky error names the failure point but keeps the stage's
-  // own code — the engine's replay path dispatches on it.
-  EXPECT_TRUE(st.IsTransient());
-  EXPECT_NE(st.message().find("stage 1"), std::string::npos);
-  EXPECT_NE(st.message().find("item 3"), std::string::npos);
-  const StagePipeline::FailureInfo fail = pipe.FirstError();
-  EXPECT_EQ(fail.stage, 1);
-  EXPECT_EQ(fail.item, 3);
-  EXPECT_TRUE(fail.status.IsTransient());
-  // The unwrapped cause, not the decorated copy.
-  EXPECT_EQ(fail.status.message(), "flaky link");
-}
-
-TEST(StagePipeline, FirstErrorIsEmptyWhileHealthy) {
-  std::vector<StagePipeline::StageFn> stages;
-  stages.push_back([](int64_t) { return Status::OK(); });
-  StagePipeline pipe(std::move(stages), 2);
-  StagePipeline::FailureInfo fail = pipe.FirstError();
-  EXPECT_TRUE(fail.status.ok());
-  EXPECT_EQ(fail.stage, -1);
-  EXPECT_EQ(fail.item, -1);
-  ASSERT_TRUE(pipe.Submit(0).ok());
-  ASSERT_TRUE(pipe.Flush().ok());
-  fail = pipe.FirstError();
-  EXPECT_TRUE(fail.status.ok());
-  EXPECT_EQ(fail.stage, -1);
-}
-
-TEST(StagePipeline, SingleItemSingleDepth) {
-  int calls = 0;
-  std::vector<StagePipeline::StageFn> stages;
-  for (int s = 0; s < 3; ++s) {
-    stages.push_back([&](int64_t) {
-      ++calls;  // single item, depth 1: stages strictly sequential
-      return Status::OK();
-    });
-  }
-  StagePipeline pipe(std::move(stages), 1);
-  ASSERT_TRUE(pipe.Submit(0).ok());
-  ASSERT_TRUE(pipe.Flush().ok());
-  EXPECT_EQ(calls, 3);
-}
-
-TEST(StagePipeline, FlushOnEmptyPipelineIsOk) {
-  std::vector<StagePipeline::StageFn> stages;
-  stages.push_back([](int64_t) { return Status::OK(); });
-  StagePipeline pipe(std::move(stages), 4);
-  EXPECT_TRUE(pipe.Flush().ok());
-}
 
 // ---- Overlap metering ------------------------------------------------------
 
@@ -166,22 +28,32 @@ TEST(SimPlatform, OverlapRegionChargesCriticalPath) {
   p.xfer_latency_s = 0.0;
   p.kernel_launch_s = 0.0;
   SimPlatform plat(1, 1 << 20, p);
-  plat.BeginOverlap(2);
-  SimPlatform::SetLane(0);
-  plat.AddH2D(0, 100);  // 1 s on the comm lane
+  plat.AddH2D(0, 100);  // 1 s load stage
   plat.Synchronize();
-  SimPlatform::SetLane(1);
-  plat.AddGpuCompute(0, 20.0, 0.0);  // 2 s on the compute lane
+  plat.AddGpuCompute(0, 20.0, 0.0);  // 2 s compute stage
   plat.Synchronize();
-  plat.EndOverlap();
-  SimPlatform::SetLane(0);
-  // Busy components are preserved; the 1 s hidden behind the slower lane
+  // The two stages overlap; the 2 s compute is the floor no schedule hides.
+  plat.RecordOverlap(/*busy=*/3.0, /*floor=*/2.0, /*modeled=*/0.0);
+  // Busy components are preserved; the 1 s hidden behind the slower stage
   // moves into `overlapped`, so total() is the 2 s critical path.
   EXPECT_DOUBLE_EQ(plat.time().h2d, 1.0);
   EXPECT_DOUBLE_EQ(plat.time().gpu, 2.0);
   EXPECT_DOUBLE_EQ(plat.time().overlapped, 1.0);
   EXPECT_DOUBLE_EQ(plat.time().busy(), 3.0);
   EXPECT_DOUBLE_EQ(plat.time().total(), 2.0);
+}
+
+TEST(SimPlatform, RecordOverlapClampsBetweenFloorAndBusy) {
+  SimPlatform plat(1, 1 << 20);
+  // A modeled wall between floor and busy is charged as is.
+  plat.RecordOverlap(10.0, 4.0, 6.0);
+  EXPECT_DOUBLE_EQ(plat.time().overlapped, 4.0);
+  // Above the busy sum: no model may be slower than zero overlap.
+  plat.RecordOverlap(10.0, 4.0, 12.0);
+  EXPECT_DOUBLE_EQ(plat.time().overlapped, 4.0);
+  // Below the floor: no model may hide the floor's own busy time.
+  plat.RecordOverlap(10.0, 4.0, 1.0);
+  EXPECT_DOUBLE_EQ(plat.time().overlapped, 10.0);
 }
 
 TEST(SimPlatform, SerialPhasesHaveNoOverlap) {
@@ -202,13 +74,16 @@ Dataset SmallDataset(const char* name = "reddit", double scale = 0.15) {
   return r.MoveValueUnsafe();
 }
 
+/// depth 0 = the serial executor; depth >= 2 = the pipeline model with that
+/// in-flight window.
 HongTuOptions BaseOptions(DedupLevel level, int chunks, int depth) {
   HongTuOptions o;
   o.num_devices = 4;
   o.device_capacity_bytes = kBig;
   o.chunks_per_partition = chunks;
   o.dedup = level;
-  o.pipeline_depth = depth;
+  o.executor = depth >= 2 ? ExecutorKind::kPipeline : ExecutorKind::kSerial;
+  o.max_inflight = std::max(1, depth);
   return o;
 }
 
@@ -279,10 +154,9 @@ TEST(HongTuPipeline, DeeperPipelineStillMatches) {
 }
 
 TEST(HongTuPipeline, ReportsOverlapAndBeatsSerialSimTime) {
-  // The acceptance direction of ISSUE 2: with several chunks in flight the
-  // pipelined executor hides communication behind compute, so simulated
-  // epoch time drops below the serial executor's and the hidden seconds
-  // show up in the overlapped meter.
+  // With several chunks in flight the pipeline model hides communication
+  // behind compute, so simulated epoch time drops below the serial
+  // executor's and the hidden seconds show up in the overlapped meter.
   Dataset ds = SmallDataset("it-2004", 0.2);
   ModelConfig cfg = ModelConfig::Make(GnnKind::kGcn, ds.feature_dim(), 32,
                                       ds.num_classes, 2, 11);

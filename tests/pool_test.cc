@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <thread>
 #include <vector>
@@ -142,8 +143,7 @@ TEST(TensorPool, ViewsDoNotOwnOrRelease) {
 }
 
 TEST(TensorPool, ConcurrentBorrowReturnThreeLanes) {
-  // The pipelined executor's three stage lanes hammer the pool
-  // concurrently; run the same pattern raw. TSan-clean by construction
+  // Three threads hammer the pool concurrently. TSan-clean by construction
   // (every pool op is under the pool mutex).
   ScopedPoolEnabled scope(true);
   TensorPool& pool = TensorPool::Global();
@@ -204,6 +204,13 @@ Dataset PoolDataset() {
   return r.MoveValueUnsafe();
 }
 
+/// depth < 2 = the serial executor; depth >= 2 = the pipeline model with
+/// that in-flight window.
+void SetDepth(HongTuOptions* o, int depth) {
+  o->executor = depth >= 2 ? ExecutorKind::kPipeline : ExecutorKind::kSerial;
+  o->max_inflight = std::max(1, depth);
+}
+
 class ZeroAllocTest : public ::testing::TestWithParam<int> {};
 
 TEST_P(ZeroAllocTest, NoHeapAllocationsAfterFirstEpoch) {
@@ -217,7 +224,7 @@ TEST_P(ZeroAllocTest, NoHeapAllocationsAfterFirstEpoch) {
     o.num_devices = 4;
     o.chunks_per_partition = 4;
     o.device_capacity_bytes = kBig;
-    o.pipeline_depth = depth;
+    SetDepth(&o, depth);
     auto e = HongTuEngine::Create(&ds, cfg, o);
     ASSERT_TRUE(e.ok()) << e.status().ToString();
     // Epoch 1 may miss while buckets fill (pre-sized workspaces keep the
@@ -239,14 +246,9 @@ TEST_P(ZeroAllocTest, NoHeapAllocationsAfterFirstEpoch) {
 INSTANTIATE_TEST_SUITE_P(Depths, ZeroAllocTest, ::testing::Values(0, 2, 3));
 
 TEST(ZeroAllocTaskGraph, TaskGraphExecutorStaysNearlyAllocationFree) {
-  // The dataflow executor cycles every buffer slot through the token pool
-  // during epoch 1, so by steady state all S slot workspaces and both layer
-  // contexts are warm. Unlike the fixed-role stage pipeline, work stealing
-  // makes kernel-scratch concurrency nondeterministic: an epoch may
-  // transiently hold one more buffer of a size class than any earlier epoch
-  // did, so the steady state is *nearly* allocation-free — a residue bounded
-  // by the worker count (a worker can hold at most one scratch buffer per
-  // size class beyond the warm set), with pool hits doing the real serving.
+  // The task-graph model charges the same serial chunk loop as every other
+  // executor, so by steady state every workspace and comm buffer is warm.
+  // The residue bound below stays as a ceiling.
   ScopedPoolEnabled scope(true);
   Dataset ds = PoolDataset();
   for (GnnKind kind : {GnnKind::kGcn, GnnKind::kGat}) {
@@ -289,7 +291,7 @@ TEST(ZeroAllocCompressed, Bf16CommStaysAllocationFree) {
     o.num_devices = 4;
     o.chunks_per_partition = 4;
     o.device_capacity_bytes = kBig;
-    o.pipeline_depth = depth;
+    SetDepth(&o, depth);
     o.comm_precision = kernels::CommPrecision::kBf16;
     auto e = HongTuEngine::Create(&ds, cfg, o);
     ASSERT_TRUE(e.ok()) << e.status().ToString();

@@ -1,17 +1,14 @@
-// Dataflow task-graph executor tests. Two layers of coverage: the TaskGraph
-// runtime itself (edge ordering, token backpressure, independent progress
-// past a straggler, sticky error poisoning, the deterministic analytic
-// schedule — the TSan CI job runs exactly this binary), and the end-to-end
-// pin that the task-graph epoch loop (executor = taskgraph) matches the
-// serial loop on loss/accuracy/parameters for every layer type, dedup level,
-// and chunk count, with the comp/store chains making the match bitwise.
+// Task-graph model tests. Two layers of coverage: the analytic schedules
+// themselves (the task graph's deterministic list schedule and the
+// pipeline recurrence, both checked against hand-computed values), and the
+// end-to-end pin that an epoch charged under the task-graph model
+// (executor = taskgraph) matches the serial executor bitwise on
+// loss/accuracy/parameters for every layer type, dedup level, and chunk
+// count.
 
 #include <gtest/gtest.h>
 
-#include <atomic>
-#include <chrono>
-#include <condition_variable>
-#include <mutex>
+#include <array>
 #include <tuple>
 #include <vector>
 
@@ -24,192 +21,10 @@ namespace {
 
 constexpr int64_t kBig = 1ll << 40;
 
-// ---- TaskGraph runtime -----------------------------------------------------
-
-TEST(TaskGraphRuntime, EdgesGateExecutionOrder) {
-  TaskGraph tg(TaskGraph::Options{/*num_workers=*/3});
-  std::mutex mu;
-  std::vector<int> order;
-  auto record = [&](int tag) {
-    return [&, tag](const TaskGraph::NodeContext&) {
-      std::lock_guard<std::mutex> lock(mu);
-      order.push_back(tag);
-      return Status::OK();
-    };
-  };
-  // Diamond with a tail: 0 -> {1, 2} -> 3 -> 4.
-  const auto a = tg.AddNode(record(0));
-  const auto b = tg.AddNode(record(1));
-  const auto c = tg.AddNode(record(2));
-  const auto d = tg.AddNode(record(3));
-  const auto e = tg.AddNode(record(4));
-  tg.AddEdge(a, b);
-  tg.AddEdge(a, c);
-  tg.AddEdge(b, d);
-  tg.AddEdge(c, d);
-  tg.AddEdge(d, e);
-  ASSERT_TRUE(tg.Run().ok());
-  ASSERT_EQ(order.size(), 5u);
-  auto pos = [&](int tag) {
-    for (size_t i = 0; i < order.size(); ++i) {
-      if (order[i] == tag) return static_cast<int>(i);
-    }
-    return -1;
-  };
-  EXPECT_LT(pos(0), pos(1));
-  EXPECT_LT(pos(0), pos(2));
-  EXPECT_LT(pos(1), pos(3));
-  EXPECT_LT(pos(2), pos(3));
-  EXPECT_LT(pos(3), pos(4));
-}
-
-TEST(TaskGraphRuntime, TokenPoolBoundsInFlight) {
-  TaskGraph tg(TaskGraph::Options{/*num_workers=*/4});
-  const auto pool = tg.AddTokenPool(2);
-  std::atomic<int> holders{0};
-  std::atomic<int> max_holders{0};
-  for (int i = 0; i < 10; ++i) {
-    TaskGraph::NodeOptions ao;
-    ao.label = "acquire";
-    ao.acquires = pool;
-    const auto acq = tg.AddNode(
-        [&](const TaskGraph::NodeContext& nc) {
-          EXPECT_GE(nc.token, 0);
-          EXPECT_LT(nc.token, 2);
-          const int h = holders.fetch_add(1) + 1;
-          int m = max_holders.load();
-          while (m < h && !max_holders.compare_exchange_weak(m, h)) {
-          }
-          return Status::OK();
-        },
-        ao);
-    TaskGraph::NodeOptions ro;
-    ro.label = "release";
-    ro.releases_token_of = acq;
-    const auto rel = tg.AddNode(
-        [&](const TaskGraph::NodeContext&) {
-          holders.fetch_sub(1);
-          return Status::OK();
-        },
-        ro);
-    tg.AddEdge(acq, rel);
-  }
-  ASSERT_TRUE(tg.Run().ok());
-  EXPECT_EQ(holders.load(), 0);
-  EXPECT_GT(max_holders.load(), 0);
-  // The backpressure invariant: never more tokens out than the pool holds.
-  EXPECT_LE(max_holders.load(), 2);
-}
-
-TEST(TaskGraphRuntime, StragglerStallsOnlyItsOwnDependents) {
-  // Two independent chains. The straggler (chain A) blocks until chain B —
-  // scheduled after it — has fully completed: only an executor that lets
-  // ready work overtake a stalled node can finish this graph.
-  TaskGraph tg(TaskGraph::Options{/*num_workers=*/2});
-  std::mutex mu;
-  std::condition_variable cv;
-  bool b_done = false;
-  std::atomic<int> b_steps{0};
-  const auto straggler = tg.AddNode([&](const TaskGraph::NodeContext&) {
-    std::unique_lock<std::mutex> lock(mu);
-    if (!cv.wait_for(lock, std::chrono::seconds(30),
-                     [&] { return b_done; })) {
-      return Status::Internal("independent chain never progressed");
-    }
-    return Status::OK();
-  });
-  const auto after = tg.AddNode([&](const TaskGraph::NodeContext&) {
-    EXPECT_EQ(b_steps.load(), 3);
-    return Status::OK();
-  });
-  tg.AddEdge(straggler, after);
-  TaskGraph::NodeId prev = -1;
-  for (int i = 0; i < 3; ++i) {
-    const auto n = tg.AddNode([&, i](const TaskGraph::NodeContext&) {
-      b_steps.fetch_add(1);
-      if (i == 2) {
-        std::lock_guard<std::mutex> lock(mu);
-        b_done = true;
-        cv.notify_all();
-      }
-      return Status::OK();
-    });
-    if (prev >= 0) tg.AddEdge(prev, n);
-    prev = n;
-  }
-  EXPECT_TRUE(tg.Run().ok());
-  EXPECT_EQ(b_steps.load(), 3);
-}
-
-TEST(TaskGraphRuntime, ErrorPoisonsSuccessorsAndDrains) {
-  TaskGraph tg(TaskGraph::Options{/*num_workers=*/2});
-  std::atomic<int> downstream_runs{0};
-  const auto ok1 = tg.AddNode(
-      [](const TaskGraph::NodeContext&) { return Status::OK(); });
-  TaskGraph::NodeOptions fo;
-  fo.label = "bwd comp l1 b2";
-  const auto fail = tg.AddNode(
-      [](const TaskGraph::NodeContext&) {
-        return Status::Internal("kernel exploded");
-      },
-      fo);
-  const auto succ = tg.AddNode([&](const TaskGraph::NodeContext&) {
-    downstream_runs.fetch_add(1);
-    return Status::OK();
-  });
-  tg.AddEdge(ok1, fail);
-  tg.AddEdge(fail, succ);
-  const Status st = tg.Run();
-  ASSERT_FALSE(st.ok());
-  EXPECT_NE(st.ToString().find("kernel exploded"), std::string::npos);
-  // The failing node's dependents are skipped, and the graph still drains.
-  EXPECT_EQ(downstream_runs.load(), 0);
-  const TaskGraph::FailureInfo& fi = tg.first_error();
-  EXPECT_EQ(fi.node, fail);
-  EXPECT_EQ(fi.label, "bwd comp l1 b2");
-  EXPECT_FALSE(fi.status.ok());
-}
-
-TEST(TaskGraphRuntime, PoisoningReleasesParkedTokenWaiters) {
-  // One token; its holder fails while a second acquirer is parked on the
-  // pool. Poisoning must flush the waiter (as a skip) or Run() deadlocks.
-  TaskGraph tg(TaskGraph::Options{/*num_workers=*/2});
-  const auto pool = tg.AddTokenPool(1);
-  std::atomic<int> skipped_bodies{0};
-  TaskGraph::NodeOptions ho;
-  ho.acquires = pool;
-  ho.label = "holder";
-  const auto holder = tg.AddNode(
-      [](const TaskGraph::NodeContext&) {
-        return Status::OutOfMemory("slot did not fit");
-      },
-      ho);
-  TaskGraph::NodeOptions wo;
-  wo.acquires = pool;
-  wo.label = "waiter";
-  const auto waiter = tg.AddNode(
-      [&](const TaskGraph::NodeContext&) {
-        skipped_bodies.fetch_add(1);
-        return Status::OK();
-      },
-      wo);
-  TaskGraph::NodeOptions ro;
-  ro.releases_token_of = waiter;
-  const auto rel = tg.AddNode(
-      [](const TaskGraph::NodeContext&) { return Status::OK(); }, ro);
-  tg.AddEdge(waiter, rel);
-  // No edge holder -> waiter: both race for the single token.
-  const Status st = tg.Run();
-  EXPECT_TRUE(st.IsOutOfMemory()) << st.ToString();
-  EXPECT_EQ(tg.first_error().node, holder);
-  // Whether the waiter grabbed the token before the holder failed is timing
-  // dependent; what must hold is that Run() returned (no deadlock) and the
-  // error is the holder's.
-  EXPECT_LE(skipped_bodies.load(), 1);
-}
+// ---- Analytic schedules -----------------------------------------------------
 
 TEST(TaskGraphRuntime, ScheduleSecondsIsDeterministicListSchedule) {
-  TaskGraph tg(TaskGraph::Options{/*num_workers=*/2});
+  TaskGraph tg;
   const auto pool = tg.AddTokenPool(1);
   // Two token-serialized 1 s loads on resource 0, overlapped with one 2 s
   // compute on resource 1. Load B cannot start until load A's releaser
@@ -217,21 +32,16 @@ TEST(TaskGraphRuntime, ScheduleSecondsIsDeterministicListSchedule) {
   TaskGraph::NodeOptions la;
   la.acquires = pool;
   la.sim_resource = 0;
-  const auto load_a = tg.AddNode(
-      [](const TaskGraph::NodeContext&) { return Status::OK(); }, la);
+  const auto load_a = tg.AddNode(la);
   TaskGraph::NodeOptions co;
   co.sim_resource = 1;
   co.releases_token_of = load_a;
-  const auto comp = tg.AddNode(
-      [](const TaskGraph::NodeContext&) { return Status::OK(); }, co);
+  const auto comp = tg.AddNode(co);
   tg.AddEdge(load_a, comp);
   TaskGraph::NodeOptions lb;
   lb.acquires = pool;
   lb.sim_resource = 0;
-  const auto load_b = tg.AddNode(
-      [](const TaskGraph::NodeContext&) { return Status::OK(); }, lb);
-  (void)load_b;
-  ASSERT_TRUE(tg.Run().ok());
+  tg.AddNode(lb);
   const std::vector<double> busy = {1.0, 2.0, 1.0};
   // load_a: [0,1). comp: [1,3) releasing the token at 3. load_b: [3,4).
   const double t = tg.ScheduleSeconds(busy);
@@ -240,23 +50,37 @@ TEST(TaskGraphRuntime, ScheduleSecondsIsDeterministicListSchedule) {
   EXPECT_DOUBLE_EQ(tg.ScheduleSeconds(busy), t);
   // Without the token bottleneck both loads would pipeline on resource 0:
   // the model is genuinely sensitive to pool capacity.
-  TaskGraph tg2(TaskGraph::Options{/*num_workers=*/2});
+  TaskGraph tg2;
   const auto pool2 = tg2.AddTokenPool(2);
   TaskGraph::NodeOptions la2 = la;
   la2.acquires = pool2;
-  const auto a2 = tg2.AddNode(
-      [](const TaskGraph::NodeContext&) { return Status::OK(); }, la2);
+  const auto a2 = tg2.AddNode(la2);
   TaskGraph::NodeOptions co2 = co;
   co2.releases_token_of = a2;
-  const auto c2 = tg2.AddNode(
-      [](const TaskGraph::NodeContext&) { return Status::OK(); }, co2);
+  const auto c2 = tg2.AddNode(co2);
   tg2.AddEdge(a2, c2);
   TaskGraph::NodeOptions lb2 = lb;
   lb2.acquires = pool2;
-  tg2.AddNode([](const TaskGraph::NodeContext&) { return Status::OK(); },
-              lb2);
-  ASSERT_TRUE(tg2.Run().ok());
+  tg2.AddNode(lb2);
   EXPECT_DOUBLE_EQ(tg2.ScheduleSeconds(busy), 3.0);
+}
+
+TEST(TaskGraphRuntime, ModelPipelineSecondsIsTheInOrderRecurrence) {
+  // Unequal stage costs per batch: {load, compute, store} seconds.
+  const std::vector<std::array<double, 3>> items = {
+      {1.0, 1.0, 5.0}, {1.0, 5.0, 1.0}, {1.0, 1.0, 1.0}};
+  // Window 2, by hand:
+  //   b0: load [0,1)  compute [1,2)  store [2,7)    retires at 7
+  //   b1: load [1,2)  compute [2,7)  store [7,8)    retires at 8
+  //   b2: its slot frees when b0 retires -> load [7,8)  compute [8,9)
+  //       store [9,10)
+  EXPECT_DOUBLE_EQ(ModelPipelineSeconds(items, 2), 10.0);
+  // Window 3 lifts the bound: b2 loads at [2,3), computes at [7,8) after
+  // b1, stores at [8,9).
+  EXPECT_DOUBLE_EQ(ModelPipelineSeconds(items, 3), 9.0);
+  // Window 1 serializes everything: the busy sum.
+  EXPECT_DOUBLE_EQ(ModelPipelineSeconds(items, 1), 17.0);
+  EXPECT_DOUBLE_EQ(ModelPipelineSeconds({}, 2), 0.0);
 }
 
 // ---- Task-graph vs serial epoch equivalence --------------------------------
@@ -353,10 +177,9 @@ TEST(HongTuTaskGraph, ReportsOverlapAndBeatsSerialSimTime) {
 }
 
 TEST(HongTuTaskGraph, BeatsOrTiesThePipelineAtEqualWindow) {
-  // The acceptance direction of this redesign: with the same in-flight
-  // window the dataflow graph's cross-layer edges release work the stage
-  // pipeline's per-layer barrier serializes, so its modeled epoch time is
-  // no worse (small tolerance for schedule rounding).
+  // With the same in-flight window the dataflow graph's cross-layer edges
+  // release work the pipeline's per-layer barrier serializes, so its
+  // modeled epoch time is no worse (small tolerance for schedule rounding).
   Dataset ds = SmallDataset("it-2004", 0.2);
   ModelConfig cfg = ModelConfig::Make(GnnKind::kGcn, ds.feature_dim(), 32,
                                       ds.num_classes, 3, 11);
@@ -409,9 +232,9 @@ TEST(HongTuTaskGraph, FallsBackToSerialWhenGraphDoesNotFit) {
 }
 
 TEST(HongTuTaskGraph, StragglerFaultDegradesWithCleanNumerics) {
-  // A transient fault at the shared `pipeline.stage` site (poked before
-  // every task-graph node body) poisons the graph; the engine replays the
-  // pass serially and the losses stay bitwise equal to a clean run.
+  // A transient fault at the `pipeline.stage` site (poked before every
+  // (layer, batch, stage)) is retried in place — the stage has not run
+  // yet — and the losses stay bitwise equal to a clean run.
   Dataset ds = SmallDataset();
   ModelConfig cfg = ModelConfig::Make(GnnKind::kGcn, ds.feature_dim(), 16,
                                       ds.num_classes, 2, 321);
@@ -455,26 +278,8 @@ TEST(HongTuTaskGraph, StragglerFaultDegradesWithCleanNumerics) {
   for (size_t k = 0; k < clean.size(); ++k) {
     EXPECT_EQ(clean[k], faulted[k]) << "epoch " << k;
   }
-  EXPECT_GT(recovery[fault::DegradeEvent::kPipelineReplay], 0)
+  EXPECT_GT(recovery[fault::DegradeEvent::kTransientRetry], 0)
       << recovery.ToString();
-}
-
-TEST(HongTuTaskGraph, DeprecatedPipelineDepthAliasStillGovernsExecutor) {
-  // pipeline_depth >= 2 must keep meaning "stage pipeline with that window"
-  // even when executor fields say otherwise by default.
-  HongTuOptions o;
-  o.pipeline_depth = 4;
-  EXPECT_EQ(o.resolved_executor(), ExecutorKind::kPipeline);
-  EXPECT_EQ(o.resolved_max_inflight(), 4);
-  o.pipeline_depth = 0;
-  EXPECT_EQ(o.resolved_executor(), ExecutorKind::kSerial);
-  o.pipeline_depth = 1;
-  EXPECT_EQ(o.resolved_executor(), ExecutorKind::kSerial);
-  o.pipeline_depth = -1;  // unset: the executor/max_inflight pair governs
-  o.executor = ExecutorKind::kTaskGraph;
-  o.max_inflight = 5;
-  EXPECT_EQ(o.resolved_executor(), ExecutorKind::kTaskGraph);
-  EXPECT_EQ(o.resolved_max_inflight(), 5);
 }
 
 }  // namespace
