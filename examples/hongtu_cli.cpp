@@ -12,6 +12,7 @@
 // Prints per-epoch loss/accuracy, measured wall time, the simulated time
 // breakdown and communication volumes, and a final val/test evaluation.
 
+#include <chrono>
 #include <cstdio>
 #include <cstring>
 #include <string>
@@ -163,18 +164,32 @@ Status Run(const Args& a) {
   std::printf("%s | %s %d-layer hidden=%d | engine=%s devices=%d\n",
               ds.graph.DebugString().c_str(), GnnKindName(kind), a.layers,
               hidden, EngineKindName(ekind), a.devices);
-  std::printf("%s", o.runtime().Describe().c_str());
+  std::printf("%s\n", o.runtime().Describe().c_str());
 
+  const auto create_start = std::chrono::steady_clock::now();
   HT_ASSIGN_OR_RETURN(auto engine, Engine::Create(ekind, &ds, cfg, o));
+  const double create_s = std::chrono::duration<double>(
+                              std::chrono::steady_clock::now() - create_start)
+                              .count();
   // Engine-specific accessors stay reachable through the concrete type when
   // a caller wants them; the training loop below is engine-agnostic.
-  if (const auto* ht = dynamic_cast<const HongTuEngine*>(engine.get())) {
+  const auto* ht = dynamic_cast<const HongTuEngine*>(engine.get());
+  if (ht != nullptr) {
     const CommVolumes& v = ht->plan().volumes;
     std::printf("dedup %s: V_ori=%lld V_p2p=%lld V_ru=%lld (rows/layer)\n",
                 DedupLevelName(dedup), static_cast<long long>(v.v_ori),
                 static_cast<long long>(v.v_p2p),
                 static_cast<long long>(v.v_ru));
   }
+  // Measured setup wall: the whole Engine::Create, and for HongTu its
+  // partition and reorganize+dedup-plan parts.
+  std::printf("setup  wall %s", FormatSeconds(create_s).c_str());
+  if (ht != nullptr) {
+    std::printf("  [partition %s plan %s]",
+                FormatSeconds(ht->partition_seconds()).c_str(),
+                FormatSeconds(ht->dedup_preprocess_seconds()).c_str());
+  }
+  std::printf("\n");
 
   for (int e = 1; e <= a.epochs; ++e) {
     HT_ASSIGN_OR_RETURN(EpochStats st, engine->RunEpoch());

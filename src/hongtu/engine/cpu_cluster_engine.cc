@@ -22,22 +22,26 @@ Result<std::unique_ptr<CpuClusterEngine>> CpuClusterEngine::Create(
   engine->options_ = options;
   HT_ASSIGN_OR_RETURN(engine->model_, GnnModel::Create(model_config));
 
-  TwoLevelOptions tlo;
-  tlo.metis.seed = options.partition_seed;
-  HT_ASSIGN_OR_RETURN(
-      TwoLevelPartition tl,
-      BuildTwoLevelPartition(dataset->graph, options.num_nodes, 1, tlo));
-  engine->shares_.resize(options.num_nodes);
-  for (int i = 0; i < options.num_nodes; ++i) {
-    const Chunk& c = tl.chunks[i][0];
-    engine->shares_[i] = {c.num_dst(), c.num_edges(), c.num_neighbors()};
-  }
-
-  if (!options.cluster_transport.empty()) {
+  if (options.cluster_transport.empty()) {
+    // Analytic mode: each node's share of the metis partition feeds the
+    // memory and network model.
+    TwoLevelOptions tlo;
+    tlo.metis.seed = options.partition_seed;
+    HT_ASSIGN_OR_RETURN(
+        TwoLevelPartition tl,
+        BuildTwoLevelPartition(dataset->graph, options.num_nodes, 1, tlo));
+    engine->shares_.resize(options.num_nodes);
+    for (int i = 0; i < options.num_nodes; ++i) {
+      const Chunk& c = tl.chunks[i][0];
+      engine->shares_[i] = {c.num_dst(), c.num_edges(), c.num_neighbors()};
+    }
+  } else {
     // Real multi-process mode: hand the training problem's provenance to a
     // ClusterCoordinator, which forks one worker per partition. Everything
     // the workers need travels through the env contract; the dataset's
-    // (name, scale, seed) triple regenerates it bit-for-bit in each process.
+    // (name, scale, seed) triple regenerates it bit-for-bit in each process,
+    // and each worker rebuilds the partition and dedup plan from it. The
+    // coordinator holds only the model, Adam state, journal and checkpoints.
     if (options.dedup == DedupLevel::kNone) {
       return Status::Invalid(
           "cluster_transport requires dedup kP2P or kP2PReuse: the "
@@ -133,6 +137,11 @@ Result<double> CpuClusterEngine::EvaluateAccuracy(SplitRole role) {
 }
 
 Result<EpochStats> CpuClusterEngine::EstimateEpoch() const {
+  if (coordinator_ != nullptr) {
+    return Status::NotImplemented(
+        "CpuClusterEngine runs a real cluster; RunEpoch measures it and the "
+        "coordinator builds no partition to estimate from");
+  }
   const int64_t need = MaxNodeBytes();
   if (need > options_.node_memory_bytes) {
     return Status::OutOfMemory("CpuClusterEngine: node needs " +

@@ -47,7 +47,8 @@ class CpuClusterEngine : public Engine {
       CpuClusterOptions options);
 
   /// Per-epoch estimate; fails with OutOfMemory when a node cannot hold its
-  /// share of the training state.
+  /// share of the training state. Analytic mode only: in cluster mode it
+  /// returns NotImplemented.
   Result<EpochStats> EstimateEpoch() const;
 
   // ---- Engine interface ----------------------------------------------------
@@ -68,7 +69,8 @@ class CpuClusterEngine : public Engine {
     return coordinator_ ? coordinator_->degradation() : nullptr;
   }
 
-  /// Max bytes any node must hold (diagnostic).
+  /// Max bytes any node must hold (diagnostic). Analytic mode only: in
+  /// cluster mode no node shares are computed and it returns 0.
   int64_t MaxNodeBytes() const;
 
   /// Null in analytic mode.
@@ -80,7 +82,8 @@ class CpuClusterEngine : public Engine {
   const Dataset* ds_ = nullptr;
   CpuClusterOptions options_;
   GnnModel model_;
-  /// Per node: owned vertices, owned edges, neighbor-set size.
+  /// Per node: owned vertices, owned edges, neighbor-set size. Empty in
+  /// cluster mode.
   struct NodeShare {
     int64_t vertices = 0;
     int64_t edges = 0;

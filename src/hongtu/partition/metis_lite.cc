@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <numeric>
-#include <unordered_map>
 
 #include "hongtu/common/random.h"
 
@@ -136,7 +135,17 @@ int64_t HeavyEdgeMatching(const WorkGraph& g, Rng* rng,
   return nc;
 }
 
-/// Contracts g under the fine->coarse map.
+/// Contracts g under the fine->coarse map in O(n + m).
+///
+/// Pass 1 merges each coarse vertex's edges into one flat CSR, using a
+/// dense position marker instead of a hash map: marker[cu] is where cu sits
+/// in the row being built, and a value below the row's start means "not yet
+/// seen". The rows come out merged but unsorted. Pass 2 is a counting
+/// transpose: scanning rows in ascending order appends each row id to its
+/// neighbours' lists, so every transposed list is ascending. The working
+/// graph is symmetric (every edge sits in both endpoints' lists with the
+/// same weight, and contraction sums both sides alike), so the transpose is
+/// the same graph with sorted lists and its row sizes are pass 1's.
 WorkGraph Contract(const WorkGraph& g, const std::vector<int32_t>& coarse_of,
                    int64_t nc) {
   WorkGraph c;
@@ -145,45 +154,50 @@ WorkGraph Contract(const WorkGraph& g, const std::vector<int32_t>& coarse_of,
   for (int64_t v = 0; v < g.n; ++v) c.vwgt[coarse_of[v]] += g.vwgt[v];
   c.total_vwgt = g.total_vwgt;
 
-  // Aggregate coarse adjacency with a per-coarse-vertex hash map.
-  std::vector<std::vector<std::pair<int32_t, int64_t>>> adj(
-      static_cast<size_t>(nc));
+  // Group fine vertices by coarse id.
+  std::vector<int32_t> head(static_cast<size_t>(nc), -1);
+  std::vector<int32_t> next(static_cast<size_t>(g.n), -1);
+  for (int64_t v = g.n - 1; v >= 0; --v) {
+    const int32_t cv = coarse_of[v];
+    next[v] = head[cv];
+    head[cv] = static_cast<int32_t>(v);
+  }
+
+  c.offsets.assign(static_cast<size_t>(nc) + 1, 0);
+  std::vector<int32_t> merged_nbrs(g.nbrs.size());
+  std::vector<int64_t> merged_wgt(g.nbrs.size());
   {
-    std::unordered_map<int32_t, int64_t> acc;
-    // Group fine vertices by coarse id.
-    std::vector<int32_t> head(static_cast<size_t>(nc), -1);
-    std::vector<int32_t> next(static_cast<size_t>(g.n), -1);
-    for (int64_t v = g.n - 1; v >= 0; --v) {
-      const int32_t cv = coarse_of[v];
-      next[v] = head[cv];
-      head[cv] = static_cast<int32_t>(v);
-    }
+    std::vector<int64_t> marker(static_cast<size_t>(nc), -1);
+    int64_t len = 0;
     for (int64_t cv = 0; cv < nc; ++cv) {
-      acc.clear();
+      const int64_t row = len;
       for (int32_t v = head[cv]; v != -1; v = next[v]) {
         for (int64_t e = g.offsets[v]; e < g.offsets[v + 1]; ++e) {
           const int32_t cu = coarse_of[g.nbrs[e]];
           if (cu == cv) continue;
-          acc[cu] += g.ewgt[e];
+          if (marker[cu] < row) {
+            marker[cu] = len;
+            merged_nbrs[len] = cu;
+            merged_wgt[len] = g.ewgt[e];
+            ++len;
+          } else {
+            merged_wgt[marker[cu]] += g.ewgt[e];
+          }
         }
       }
-      auto& out = adj[cv];
-      out.assign(acc.begin(), acc.end());
-      std::sort(out.begin(), out.end());
+      c.offsets[cv + 1] = len;
     }
   }
-  c.offsets.assign(static_cast<size_t>(nc) + 1, 0);
-  for (int64_t v = 0; v < nc; ++v) {
-    c.offsets[v + 1] = c.offsets[v] + static_cast<int64_t>(adj[v].size());
-  }
+
   c.nbrs.resize(static_cast<size_t>(c.offsets[nc]));
   c.ewgt.resize(static_cast<size_t>(c.offsets[nc]));
-  for (int64_t v = 0; v < nc; ++v) {
-    int64_t o = c.offsets[v];
-    for (const auto& [u, w] : adj[v]) {
-      c.nbrs[o] = u;
-      c.ewgt[o] = w;
-      ++o;
+  std::vector<int64_t> cur(c.offsets.begin(), c.offsets.end() - 1);
+  for (int64_t cv = 0; cv < nc; ++cv) {
+    for (int64_t e = c.offsets[cv]; e < c.offsets[cv + 1]; ++e) {
+      const int32_t cu = merged_nbrs[e];
+      c.nbrs[cur[cu]] = static_cast<int32_t>(cv);
+      c.ewgt[cur[cu]] = merged_wgt[e];
+      ++cur[cu];
     }
   }
   return c;

@@ -1,7 +1,8 @@
 #include "hongtu/partition/two_level.h"
 
 #include <algorithm>
-#include <unordered_map>
+
+#include "hongtu/common/parallel.h"
 
 namespace hongtu {
 
@@ -14,31 +15,39 @@ double TwoLevelPartition::ReplicationFactor(int64_t num_vertices) const {
   return static_cast<double>(total) / static_cast<double>(num_vertices);
 }
 
-Chunk ExtractChunk(const Graph& g, std::vector<VertexId> dst_vertices,
-                   int partition_id, int chunk_id) {
+namespace {
+
+/// ExtractChunk over a caller-owned position map: `*pos_map` has one entry
+/// per graph vertex, all -1 on entry and on return. While the chunk is
+/// built, it holds u's index in the neighbor set N_ij (-1 if u is not in
+/// it), which replaces a binary search per edge.
+Chunk ExtractChunkWithMap(const Graph& g, std::vector<VertexId> dst_vertices,
+                          int partition_id, int chunk_id,
+                          std::vector<int32_t>* pos_map) {
+  std::vector<int32_t>& pos = *pos_map;
   Chunk c;
   c.partition_id = partition_id;
   c.chunk_id = chunk_id;
   std::sort(dst_vertices.begin(), dst_vertices.end());
   c.dst_vertices = std::move(dst_vertices);
 
-  // Collect the unique neighbor set N_ij.
-  c.neighbors.reserve(c.dst_vertices.size() * 4);
+  // Collect the unique neighbor set N_ij: each vertex is marked the first
+  // time it is seen, then the (already unique) set is sorted and numbered.
   for (VertexId v : c.dst_vertices) {
     for (EdgeId e = g.in_offsets()[v]; e < g.in_offsets()[v + 1]; ++e) {
-      c.neighbors.push_back(g.in_neighbors()[e]);
+      const VertexId u = g.in_neighbors()[e];
+      if (pos[u] == -1) {
+        pos[u] = 0;
+        c.neighbors.push_back(u);
+      }
     }
   }
   std::sort(c.neighbors.begin(), c.neighbors.end());
-  c.neighbors.erase(std::unique(c.neighbors.begin(), c.neighbors.end()),
-                    c.neighbors.end());
+  for (size_t k = 0; k < c.neighbors.size(); ++k) {
+    pos[c.neighbors[k]] = static_cast<int32_t>(k);
+  }
 
   // Local CSC with edges referencing neighbor-set positions.
-  auto local_of = [&](VertexId u) -> int32_t {
-    const auto it =
-        std::lower_bound(c.neighbors.begin(), c.neighbors.end(), u);
-    return static_cast<int32_t>(it - c.neighbors.begin());
-  };
   c.in_offsets.assign(c.dst_vertices.size() + 1, 0);
   for (size_t d = 0; d < c.dst_vertices.size(); ++d) {
     const VertexId v = c.dst_vertices[d];
@@ -51,7 +60,7 @@ Chunk ExtractChunk(const Graph& g, std::vector<VertexId> dst_vertices,
     const VertexId v = c.dst_vertices[d];
     int64_t o = c.in_offsets[d];
     for (EdgeId e = g.in_offsets()[v]; e < g.in_offsets()[v + 1]; ++e, ++o) {
-      c.nbr_idx[o] = local_of(g.in_neighbors()[e]);
+      c.nbr_idx[o] = pos[g.in_neighbors()[e]];
       c.in_weights[o] = g.in_weights()[e];
     }
   }
@@ -59,13 +68,9 @@ Chunk ExtractChunk(const Graph& g, std::vector<VertexId> dst_vertices,
   // self_idx: destination's own position in the neighbor space.
   c.self_idx.resize(c.dst_vertices.size());
   for (size_t d = 0; d < c.dst_vertices.size(); ++d) {
-    const VertexId v = c.dst_vertices[d];
-    const auto it =
-        std::lower_bound(c.neighbors.begin(), c.neighbors.end(), v);
-    c.self_idx[d] = (it != c.neighbors.end() && *it == v)
-                        ? static_cast<int32_t>(it - c.neighbors.begin())
-                        : -1;
+    c.self_idx[d] = pos[c.dst_vertices[d]];
   }
+  for (VertexId u : c.neighbors) pos[u] = -1;
 
   // Local CSR mirror (source-major) for parallel scatter.
   c.src_offsets.assign(c.neighbors.size() + 1, 0);
@@ -91,6 +96,15 @@ Chunk ExtractChunk(const Graph& g, std::vector<VertexId> dst_vertices,
   return c;
 }
 
+}  // namespace
+
+Chunk ExtractChunk(const Graph& g, std::vector<VertexId> dst_vertices,
+                   int partition_id, int chunk_id) {
+  std::vector<int32_t> pos(static_cast<size_t>(g.num_vertices()), -1);
+  return ExtractChunkWithMap(g, std::move(dst_vertices), partition_id,
+                             chunk_id, &pos);
+}
+
 Result<TwoLevelPartition> BuildTwoLevelPartition(const Graph& g, int m, int n,
                                                  const TwoLevelOptions& opts) {
   if (m <= 0 || n <= 0) {
@@ -104,34 +118,49 @@ Result<TwoLevelPartition> BuildTwoLevelPartition(const Graph& g, int m, int n,
                       MetisLitePartition(g, m, opts.metis));
   tl.partition_of = std::move(metis.part_of);
 
-  tl.chunks.resize(static_cast<size_t>(m));
+  // Destination lists of every chunk, serially: partition i's vertices in
+  // ascending order (range-based order, Fig. 2/5), split into n runs
+  // balanced by in-edge count (computation balance).
+  std::vector<std::vector<VertexId>> verts(static_cast<size_t>(m));
+  for (int64_t v = 0; v < g.num_vertices(); ++v) {
+    verts[tl.partition_of[v]].push_back(static_cast<VertexId>(v));
+  }
+  std::vector<std::vector<VertexId>> dsts(static_cast<size_t>(m) * n);
   for (int i = 0; i < m; ++i) {
-    // Vertices of partition i, ascending (range-based order, Fig. 2/5).
-    std::vector<VertexId> verts;
-    for (int64_t v = 0; v < g.num_vertices(); ++v) {
-      if (tl.partition_of[v] == i) verts.push_back(static_cast<VertexId>(v));
-    }
-    // Split into n chunks balanced by in-edge count (computation balance).
     int64_t total_edges = 0;
-    for (VertexId v : verts) total_edges += g.in_degree(v);
+    for (VertexId v : verts[i]) total_edges += g.in_degree(v);
     const double target = static_cast<double>(total_edges) / n;
 
-    tl.chunks[i].reserve(static_cast<size_t>(n));
     size_t pos = 0;
     for (int j = 0; j < n; ++j) {
-      std::vector<VertexId> dst;
+      std::vector<VertexId>& dst = dsts[static_cast<size_t>(i) * n + j];
       int64_t acc = 0;
       const bool last_chunk = (j == n - 1);
-      while (pos < verts.size()) {
-        const size_t remaining_v = verts.size() - pos;
+      while (pos < verts[i].size()) {
+        const size_t remaining_v = verts[i].size() - pos;
         const size_t later_chunks = static_cast<size_t>(n - 1 - j);
         // Leave at least one vertex for every later chunk when possible.
         if (!dst.empty() && remaining_v <= later_chunks) break;
         if (!dst.empty() && !last_chunk && acc >= target) break;
-        dst.push_back(verts[pos++]);
+        dst.push_back(verts[i][pos++]);
         acc += g.in_degree(dst.back());
       }
-      tl.chunks[i].push_back(ExtractChunk(g, std::move(dst), i, j));
+    }
+  }
+
+  // Chunks are independent and each lands in its own slot, so the result
+  // does not depend on the team size.
+  tl.chunks.assign(static_cast<size_t>(m), std::vector<Chunk>(n));
+  const int64_t num_chunks = static_cast<int64_t>(m) * n;
+#pragma omp parallel num_threads(NumThreads())
+  {
+    std::vector<int32_t> pos_map(static_cast<size_t>(g.num_vertices()), -1);
+#pragma omp for schedule(dynamic, 1)
+    for (int64_t k = 0; k < num_chunks; ++k) {
+      const int i = static_cast<int>(k / n);
+      const int j = static_cast<int>(k % n);
+      tl.chunks[i][j] = ExtractChunkWithMap(g, std::move(dsts[k]), i, j,
+                                            &pos_map);
     }
   }
   return tl;

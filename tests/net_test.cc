@@ -32,6 +32,7 @@
 
 #include "hongtu/common/crc32c.h"
 #include "hongtu/common/fault.h"
+#include "hongtu/engine/cpu_cluster_engine.h"
 #include "hongtu/graph/datasets.h"
 #include "hongtu/net/cluster.h"
 #include "hongtu/net/frame.h"
@@ -602,6 +603,43 @@ TEST_F(NetTest, ClusterTcpMatchesUds) {
   ASSERT_TRUE(tcp.ok) << tcp.error;
   EXPECT_EQ(uds.digest, tcp.digest);
   EXPECT_EQ(uds.losses, tcp.losses);
+}
+
+TEST_F(NetTest, CpuClusterEngineClusterModeHasNoAnalyticModel) {
+  // In cluster mode the coordinator builds no partition (the workers do),
+  // so the analytic estimate is unavailable rather than computed from
+  // empty node shares, and RunEpoch trains exactly what a bare
+  // coordinator trains.
+  const Dataset ds = LoadDatasetScaled("reddit", 0.04).MoveValueUnsafe();
+  const ModelConfig cfg = ModelConfig::Make(
+      GnnKind::kGcn, ds.feature_dim(), 16, ds.num_classes, 2, 2024);
+  CpuClusterOptions o;
+  o.cluster_transport = "uds";
+  o.cluster_workers = 2;
+  o.chunks_per_partition = 2;
+  o.comm_precision = kernels::CommPrecision::kFp32;
+  auto er = CpuClusterEngine::Create(&ds, cfg, o);
+  ASSERT_TRUE(er.ok()) << er.status().ToString();
+  std::unique_ptr<CpuClusterEngine> engine = er.MoveValueUnsafe();
+  ASSERT_NE(engine->coordinator(), nullptr);
+  EXPECT_STREQ(engine->name(), "cpu-cluster-mp");
+  EXPECT_TRUE(engine->EstimateEpoch().status().IsNotImplemented());
+  EXPECT_EQ(engine->MaxNodeBytes(), 0);
+
+  std::vector<double> losses;
+  for (int e = 0; e < 2; ++e) {
+    auto r = engine->RunEpoch();
+    ASSERT_TRUE(r.ok()) << r.status().ToString();
+    EXPECT_GT(r.ValueOrDie().wall_seconds, 0.0);
+    losses.push_back(r.ValueOrDie().loss);
+  }
+  const uint32_t digest = StateDigest(engine->model(), *engine->adam());
+  engine.reset();  // stop its workers before the bare run spawns its own
+
+  const ClusterOutcome bare = RunCluster("uds", 2, 2);
+  ASSERT_TRUE(bare.ok) << bare.error;
+  EXPECT_EQ(losses, bare.losses);
+  EXPECT_EQ(digest, bare.digest);
 }
 
 TEST_F(NetTest, ClusterFourWorkersSurvivesInjectedNetFaults) {

@@ -7,6 +7,7 @@
 #include <set>
 #include <tuple>
 
+#include "hongtu/common/parallel.h"
 #include "hongtu/graph/builder.h"
 #include "hongtu/graph/datasets.h"
 #include "hongtu/partition/metis_lite.h"
@@ -241,6 +242,167 @@ TEST(ExtractChunk, FullGraphIsIdentity) {
     EXPECT_EQ(c.self_idx[v], v);
   }
   EXPECT_EQ(c.num_edges(), ds.graph.num_edges());
+}
+
+// ---- Golden partition digests ----------------------------------------------
+// FNV-1a over every output array of the 2-level partition. Any change to
+// matching tie-breaks, refinement order, chunk boundaries or the local
+// CSC/CSR layout shows up here, and chunk extraction must give the same
+// bits at every OpenMP team size.
+
+struct Fnv64 {
+  uint64_t h = 1469598103934665603ull;
+  void Bytes(const void* p, size_t n) {
+    const auto* b = static_cast<const unsigned char*>(p);
+    for (size_t i = 0; i < n; ++i) {
+      h ^= b[i];
+      h *= 1099511628211ull;
+    }
+  }
+  template <typename T>
+  void Vec(const std::vector<T>& v) {
+    const uint64_t n = v.size();
+    Bytes(&n, sizeof(n));
+    Bytes(v.data(), v.size() * sizeof(T));
+  }
+};
+
+uint64_t PartitionDigest(const Graph& g, const TwoLevelPartition& tl) {
+  Fnv64 f;
+  f.Vec(tl.partition_of);
+  const int64_t cut = ComputeEdgeCut(g, tl.partition_of);
+  f.Bytes(&cut, sizeof(cut));
+  for (const auto& row : tl.chunks) {
+    for (const Chunk& c : row) {
+      f.Bytes(&c.partition_id, sizeof(c.partition_id));
+      f.Bytes(&c.chunk_id, sizeof(c.chunk_id));
+      f.Vec(c.dst_vertices);
+      f.Vec(c.neighbors);
+      f.Vec(c.in_offsets);
+      f.Vec(c.nbr_idx);
+      f.Vec(c.in_weights);
+      f.Vec(c.src_offsets);
+      f.Vec(c.dst_idx);
+      f.Vec(c.src_weights);
+      f.Vec(c.src_edge_idx);
+      f.Vec(c.self_idx);
+    }
+  }
+  return f.h;
+}
+
+struct GoldenCase {
+  const char* dataset;
+  int m;
+  int n;
+  uint64_t digest;
+};
+
+void PrintTo(const GoldenCase& gc, std::ostream* os) {
+  *os << gc.dataset << " m=" << gc.m << " n=" << gc.n;
+}
+
+class GoldenPartitionTest : public ::testing::TestWithParam<GoldenCase> {};
+
+TEST_P(GoldenPartitionTest, DigestIsPinnedAtAnyTeamSize) {
+  const GoldenCase& gc = GetParam();
+  auto dsr = LoadDatasetScaled(gc.dataset, 0.05);
+  ASSERT_TRUE(dsr.ok());
+  const Graph& g = dsr.ValueOrDie().graph;
+  const int team = NumThreads();
+  for (int threads : {1, team}) {
+    SetNumThreads(threads);
+    auto r = BuildTwoLevelPartition(g, gc.m, gc.n);
+    SetNumThreads(team);
+    ASSERT_TRUE(r.ok()) << r.status().ToString();
+    const uint64_t d = PartitionDigest(g, r.ValueOrDie());
+    EXPECT_EQ(d, gc.digest) << gc.dataset << " m=" << gc.m << " n=" << gc.n
+                            << " threads=" << threads << " digest=0x"
+                            << std::hex << d;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Fixed, GoldenPartitionTest,
+    ::testing::Values(GoldenCase{"it-2004", 4, 8, 0x039844c634c49d7full},
+                      GoldenCase{"reddit", 4, 1, 0x00757c669b822029ull},
+                      GoldenCase{"friendster", 4, 16, 0xb837e6917006a9a4ull}),
+    [](const ::testing::TestParamInfo<GoldenCase>& info) {
+      std::string name = info.param.dataset;
+      name.erase(std::remove(name.begin(), name.end(), '-'), name.end());
+      return name + "_m" + std::to_string(info.param.m) + "_n" +
+             std::to_string(info.param.n);
+    });
+
+TEST(ExtractChunk, MissingSelfLoopsAndParallelEdges) {
+  // 6 vertices, no self-loops added, duplicates kept. Vertices 1 and 3
+  // have self-loops; vertex 4 has none. 5 -> 4 appears three times and
+  // 0 -> 1 twice.
+  GraphBuilderOptions o;
+  o.add_self_loops = false;
+  o.deduplicate = false;
+  auto gr = GraphBuilder(o).Build(
+      6, {{0, 1}, {1, 1}, {0, 1}, {3, 1}, {5, 4}, {2, 4}, {5, 4}, {5, 4},
+          {1, 3}, {3, 3}});
+  ASSERT_TRUE(gr.ok()) << gr.status().ToString();
+  const Graph& g = gr.ValueOrDie();
+  Chunk c = ExtractChunk(g, {4, 1, 3}, 2, 5);
+  EXPECT_EQ(c.partition_id, 2);
+  EXPECT_EQ(c.chunk_id, 5);
+  ASSERT_EQ(c.dst_vertices, (std::vector<VertexId>{1, 3, 4}));
+  EXPECT_EQ(c.neighbors, (std::vector<VertexId>{0, 1, 2, 3, 5}));
+  EXPECT_EQ(c.num_edges(), 10);
+
+  // nbr_idx is the position of each in-neighbor in the sorted neighbor set.
+  for (size_t d = 0; d < c.dst_vertices.size(); ++d) {
+    const VertexId v = c.dst_vertices[d];
+    ASSERT_EQ(c.in_offsets[d + 1] - c.in_offsets[d], g.in_degree(v));
+    int64_t o = c.in_offsets[d];
+    for (EdgeId e = g.in_offsets()[v]; e < g.in_offsets()[v + 1]; ++e, ++o) {
+      const VertexId u = g.in_neighbors()[e];
+      const auto it =
+          std::lower_bound(c.neighbors.begin(), c.neighbors.end(), u);
+      ASSERT_TRUE(it != c.neighbors.end() && *it == u);
+      EXPECT_EQ(c.nbr_idx[o], it - c.neighbors.begin());
+      EXPECT_EQ(c.in_weights[o], g.in_weights()[e]);
+    }
+  }
+  // Every copy of a duplicate in-edge maps to the same neighbor slot.
+  std::vector<int32_t> from5;
+  for (int64_t e = c.in_offsets[2]; e < c.in_offsets[3]; ++e) {
+    if (c.neighbors[c.nbr_idx[e]] == 5) from5.push_back(c.nbr_idx[e]);
+  }
+  EXPECT_EQ(from5, (std::vector<int32_t>{4, 4, 4}));
+
+  // Vertex 4 has no self-loop and is no destination's in-neighbor, so it
+  // is absent from the neighbor set.
+  EXPECT_EQ(c.self_idx, (std::vector<int32_t>{1, 3, -1}));
+
+  // The CSR mirror lists every source's out-edges in destination order.
+  ASSERT_EQ(c.src_offsets.size(), c.neighbors.size() + 1);
+  for (size_t s = 0; s < c.neighbors.size(); ++s) {
+    for (int64_t e = c.src_offsets[s]; e < c.src_offsets[s + 1]; ++e) {
+      EXPECT_EQ(c.nbr_idx[c.src_edge_idx[e]], static_cast<int32_t>(s));
+      if (e > c.src_offsets[s]) {
+        EXPECT_GT(c.src_edge_idx[e], c.src_edge_idx[e - 1]);
+      }
+    }
+  }
+}
+
+TEST(ExtractChunk, DestinationWithoutSelfLoopOutsideNeighborSet) {
+  GraphBuilderOptions o;
+  o.add_self_loops = false;
+  auto gr = GraphBuilder(o).Build(3, {{0, 2}, {1, 2}});
+  ASSERT_TRUE(gr.ok());
+  Chunk c = ExtractChunk(gr.ValueOrDie(), {2, 0}, 0, 0);
+  EXPECT_EQ(c.dst_vertices, (std::vector<VertexId>{0, 2}));
+  EXPECT_EQ(c.neighbors, (std::vector<VertexId>{0, 1}));
+  EXPECT_EQ(c.in_offsets, (std::vector<int64_t>{0, 0, 2}));
+  EXPECT_EQ(c.nbr_idx, (std::vector<int32_t>{0, 1}));
+  // Neither destination has a self-loop. Vertex 0 still resolves, because
+  // it is an in-neighbor of 2; vertex 2 is no destination's in-neighbor.
+  EXPECT_EQ(c.self_idx, (std::vector<int32_t>{0, -1}));
 }
 
 }  // namespace
