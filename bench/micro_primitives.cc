@@ -6,7 +6,8 @@
 // last argument (0 = reference scalar loops, 1 = blocked SIMD). Running with
 // --kernels-report[=path] skips google-benchmark and instead emits a JSON
 // old-vs-new throughput comparison (default BENCH_kernels.json): blocked vs
-// reference GEMM at 512x256x256 plus GatherWeighted / ScatterWeighted on a
+// reference GEMM at 512x256x256, the layer-shaped dW GEMM and bias + ReLU
+// GEMM at 2500x128x128, plus GatherWeighted / ScatterWeighted on a
 // power-law-skewed RMAT graph at dims {16, 64, 128, 256}, each measured at
 // two thread tiers — 1 and kMtThreads. The multi-thread tier is PINNED (not
 // "all cores") so the regression gate's (kernel, threads) keys are identical
@@ -328,6 +329,41 @@ int RunKernelsReport(const std::string& path) {
           },
           /*calls=*/24);
       results.push_back(r);
+    }
+
+    // The dense kernels of one layer-shaped chunk (2500 rows, 128 -> 128):
+    // the backward's dW GEMM and the forward's fused bias + ReLU GEMM.
+    {
+      const int64_t rows = 2500, d = 128;
+      const Tensor x = Tensor::Gaussian(rows, d, 1.0f, 16);
+      const Tensor dy = Tensor::Gaussian(rows, d, 1.0f, 17);
+      const Tensor w = Tensor::Gaussian(d, d, 1.0f, 18);
+      const Tensor bias = Tensor::Gaussian(1, d, 1.0f, 19);
+      Tensor dw(d, d);
+      Tensor y(rows, d);
+      const auto row = [&](const char* name,
+                           const std::function<void(kernels::Backend)>& fn) {
+        AbResult r;
+        r.kernel = name;
+        r.threads = threads;
+        r.work_per_call = 2.0 * rows * d * d;
+        const std::vector<double> t = TimeInterleaved(
+            {[&] { fn(kernels::Backend::kReference); },
+             [&] { fn(kernels::Backend::kBlocked); }},
+            /*calls=*/8);
+        r.ref_secs = t[0];
+        r.blocked_secs = t[1];
+        results.push_back(r);
+      };
+      row("gemm_transa_2500x128x128", [&](kernels::Backend be) {
+        kernels::GemmTransAAccum(be, x.data(), dy.data(), dw.data(), rows, d,
+                                 d);
+      });
+      row("gemm_bias_relu_2500x128x128", [&](kernels::Backend be) {
+        kernels::Gemm(be, x.data(), w.data(), y.data(), rows, d, d,
+                      /*accumulate=*/false, bias.data(),
+                      kernels::Epilogue::kBiasRelu);
+      });
     }
 
     // Gather/scatter on the full RMAT chunk, single-pass AND banded. The

@@ -150,23 +150,42 @@ void MicroKernel(const float* a, int64_t lda, const float* bp, int64_t kc,
 
 /// Adds the accumulator tile into c; on the final depth block also applies
 /// the fused bias + activation epilogue. `overwrite` discards the previous
-/// contents (first depth block of a non-accumulating GEMM).
+/// contents (first depth block of a non-accumulating GEMM). The epilogue
+/// kind is resolved once per tile row, so bias and bias+ReLU rows are vector
+/// loops that compute (c or 0) + acc + bias and clamp exactly as Activate()
+/// does; sigmoid and tanh stay scalar.
 void StoreTile(const float acc[kMr][kNr], float* c, int64_t ldc, int mr,
                int nr, bool overwrite, bool final_block, const float* bias,
                Epilogue ep) {
+  if (!final_block) ep = Epilogue::kNone;
   for (int r = 0; r < mr; ++r) {
     float* crow = c + r * ldc;
-    if (!final_block || ep == Epilogue::kNone) {
-      if (overwrite) {
-        for (int j = 0; j < nr; ++j) crow[j] = acc[r][j];
-      } else {
-        for (int j = 0; j < nr; ++j) crow[j] += acc[r][j];
+    const float* arow = acc[r];
+    switch (ep) {
+      case Epilogue::kNone:
+        if (overwrite) {
+          for (int j = 0; j < nr; ++j) crow[j] = arow[j];
+        } else {
+          for (int j = 0; j < nr; ++j) crow[j] += arow[j];
+        }
+        break;
+      case Epilogue::kBias:
+      case Epilogue::kBiasRelu: {
+        const bool relu = ep == Epilogue::kBiasRelu;
+#pragma omp simd
+        for (int j = 0; j < nr; ++j) {
+          const float v = (overwrite ? 0.0f : crow[j]) + arow[j] + bias[j];
+          crow[j] = relu && !(v > 0.0f) ? 0.0f : v;
+        }
+        break;
       }
-    } else {
-      for (int j = 0; j < nr; ++j) {
-        const float v = (overwrite ? 0.0f : crow[j]) + acc[r][j] + bias[j];
-        crow[j] = Activate(v, ep);
-      }
+      case Epilogue::kBiasSigmoid:
+      case Epilogue::kBiasTanh:
+        for (int j = 0; j < nr; ++j) {
+          const float v = (overwrite ? 0.0f : crow[j]) + arow[j] + bias[j];
+          crow[j] = Activate(v, ep);
+        }
+        break;
     }
   }
 }
@@ -217,53 +236,58 @@ void BlockedGemmTransAAccum(const float* a, const float* b, float* c,
                             int64_t k, int64_t m, int64_t n) {
   // c[i][j] += sum_p a[p*m + i] * b[p*n + j]. Both operands are read
   // row-contiguously per depth step, so no packing is needed; the depth loop
-  // is chunked so the streamed a/b blocks stay cache-resident while every
-  // (kMr x kNr) output tile consumes them.
+  // is chunked so the streamed a/b blocks stay cache-resident while a
+  // thread's (kMr x kNr) output tiles consume them.
+  //
+  // Threads split the (m-tile x n-tile) output grid: m is the layer's input
+  // width, often only 8-16 tiles, too few to split alone. Each tile has one
+  // owner that adds its depth blocks in ascending order, so every element is
+  // summed in the same order at any team size.
   constexpr int64_t kDepthBlock = 1024;
   const int64_t mtiles = (m + kMr - 1) / kMr;
-  for (int64_t pc = 0; pc < k; pc += kDepthBlock) {
-    const int64_t kc = std::min(kDepthBlock, k - pc);
-    const float* ablk = a + pc * m;
-    const float* bblk = b + pc * n;
-    ParallelForChunked(0, mtiles, /*serial_below=*/256 / kMr,
-                       [&](int64_t tlo, int64_t thi) {
-      float acc[kMr][kNr];
+  const int64_t ntiles = (n + kNr - 1) / kNr;
+  ParallelForChunked(0, mtiles * ntiles, /*serial_below=*/2,
+                     [&](int64_t tlo, int64_t thi) {
+    float acc[kMr][kNr];
+    for (int64_t pc = 0; pc < k; pc += kDepthBlock) {
+      const int64_t kc = std::min(kDepthBlock, k - pc);
+      const float* ablk = a + pc * m;
+      const float* bblk = b + pc * n;
       for (int64_t t = tlo; t < thi; ++t) {
-        const int64_t i0 = t * kMr;
+        const int64_t i0 = (t / ntiles) * kMr;
+        const int64_t j0 = (t % ntiles) * kNr;
         const int mr = static_cast<int>(std::min<int64_t>(kMr, m - i0));
-        for (int64_t j0 = 0; j0 < n; j0 += kNr) {
-          const int nr = static_cast<int>(std::min<int64_t>(kNr, n - j0));
-          for (int r = 0; r < kMr; ++r) {
-            for (int j = 0; j < kNr; ++j) acc[r][j] = 0.0f;
-          }
-          if (mr == kMr && nr == kNr) {
-            for (int64_t p = 0; p < kc; ++p) {
-              const float* arow = ablk + p * m + i0;
-              const float* brow = bblk + p * n + j0;
-              for (int r = 0; r < kMr; ++r) {
-                const float av = arow[r];
+        const int nr = static_cast<int>(std::min<int64_t>(kNr, n - j0));
+        for (int r = 0; r < kMr; ++r) {
+          for (int j = 0; j < kNr; ++j) acc[r][j] = 0.0f;
+        }
+        if (mr == kMr && nr == kNr) {
+          for (int64_t p = 0; p < kc; ++p) {
+            const float* arow = ablk + p * m + i0;
+            const float* brow = bblk + p * n + j0;
+            for (int r = 0; r < kMr; ++r) {
+              const float av = arow[r];
 #pragma omp simd
-                for (int j = 0; j < kNr; ++j) acc[r][j] += av * brow[j];
-              }
-            }
-          } else {
-            for (int64_t p = 0; p < kc; ++p) {
-              const float* arow = ablk + p * m + i0;
-              const float* brow = bblk + p * n + j0;
-              for (int r = 0; r < mr; ++r) {
-                const float av = arow[r];
-                for (int j = 0; j < nr; ++j) acc[r][j] += av * brow[j];
-              }
+              for (int j = 0; j < kNr; ++j) acc[r][j] += av * brow[j];
             }
           }
-          for (int r = 0; r < mr; ++r) {
-            float* crow = c + (i0 + r) * n + j0;
-            for (int j = 0; j < nr; ++j) crow[j] += acc[r][j];
+        } else {
+          for (int64_t p = 0; p < kc; ++p) {
+            const float* arow = ablk + p * m + i0;
+            const float* brow = bblk + p * n + j0;
+            for (int r = 0; r < mr; ++r) {
+              const float av = arow[r];
+              for (int j = 0; j < nr; ++j) acc[r][j] += av * brow[j];
+            }
           }
         }
+        for (int r = 0; r < mr; ++r) {
+          float* crow = c + (i0 + r) * n + j0;
+          for (int j = 0; j < nr; ++j) crow[j] += acc[r][j];
+        }
       }
-    });
-  }
+    }
+  });
 }
 
 void BlockedGemmTransB(const float* a, const float* b, float* c, int64_t m,
@@ -323,9 +347,13 @@ void ColumnSumAccum(Backend backend, const float* x, int64_t rows,
     return;
   }
   // Threads own disjoint column blocks; each block is reduced in row order,
-  // so the result is independent of the thread count.
+  // so the result is independent of the thread count. One block is
+  // rows x kNr adds, so two blocks already fill a parallel region unless the
+  // matrix is only a few rows tall.
   const int64_t nblocks = (cols + kNr - 1) / kNr;
-  ParallelForChunked(0, nblocks, [&](int64_t blo, int64_t bhi) {
+  const int64_t serial_below =
+      rows < kParallelSerialThreshold ? nblocks + 1 : 2;
+  ParallelForChunked(0, nblocks, serial_below, [&](int64_t blo, int64_t bhi) {
     for (int64_t blk = blo; blk < bhi; ++blk) {
       const int64_t c0 = blk * kNr;
       const int w = static_cast<int>(std::min<int64_t>(kNr, cols - c0));

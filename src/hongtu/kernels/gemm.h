@@ -11,7 +11,12 @@
 /// (Kc x kNr) panels and an unrolled `#pragma omp simd` micro-kernel holding
 /// a (kMr x kNr) accumulator tile in registers. The epilogue (bias add +
 /// activation) is fused into the final-k-block store, so UPDATE stages write
-/// their output in a single pass over C.
+/// their output in a single pass over C; the bias and bias+ReLU stores are
+/// vector loops.
+///
+/// Threading: every blocked kernel gives each output element one owning
+/// thread and sums it in a fixed order, so results are bit-identical at any
+/// OpenMP team size (pinned by KernelsTest.BlockedGemmFamilyIsTeamSizeInvariant).
 
 #pragma once
 
@@ -40,6 +45,9 @@ void Gemm(Backend backend, const float* a, const float* b, float* c,
           const float* bias = nullptr, Epilogue epilogue = Epilogue::kNone);
 
 /// c (m x n) += a^T * b, with a (k x m) and b (k x n). The dW kernel.
+/// Threads split the grid of (8 x 16) output tiles, so a layer-sized dW
+/// (m = in_dim, only 8-16 row tiles) still uses the whole team; each tile
+/// adds its depth blocks in ascending order.
 void GemmTransAAccum(Backend backend, const float* a, const float* b,
                      float* c, int64_t k, int64_t m, int64_t n);
 
@@ -47,9 +55,10 @@ void GemmTransAAccum(Backend backend, const float* a, const float* b,
 void GemmTransB(Backend backend, const float* a, const float* b, float* c,
                 int64_t m, int64_t k, int64_t n);
 
-/// out (1 x cols) += column sums of x (rows x cols). The db kernel; threads
-/// split the column blocks, so the per-column add order stays row-major and
-/// results are deterministic for any thread count.
+/// out (1 x cols) += column sums of x (rows x cols). The db kernel. Threads
+/// split the 16-column blocks once x has at least 256 rows (shorter inputs
+/// run serially); each column is summed in row order, so results are
+/// deterministic for any thread count.
 void ColumnSumAccum(Backend backend, const float* x, int64_t rows,
                     int64_t cols, float* out);
 

@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <string>
 #include <tuple>
 #include <vector>
@@ -296,6 +297,62 @@ TEST(HongTuEngine, NestedScheduleBuildMeetsInvariants) {
                                at + " gather");
       ExpectScheduleInvariants(cs->scatter, c.num_neighbors(),
                                c.src_offsets.data(), at + " scatter");
+    }
+  }
+}
+
+/// Sets the OpenMP team size for a scope and restores it on exit, including
+/// an early return from a failed ASSERT.
+struct ScopedTeamSize {
+  explicit ScopedTeamSize(int n) : saved(NumThreads()) { SetNumThreads(n); }
+  ~ScopedTeamSize() { SetNumThreads(saved); }
+  const int saved;
+};
+
+TEST(HongTuEngine, TrainingIsBitwiseEqualAtAnyTeamSize) {
+  // Every kernel an epoch runs gives each output element one owning thread
+  // and a fixed summation order, so a one-thread team and the default team
+  // must produce the same losses and parameters, bit for bit. The graph is
+  // the full-size reddit stand-in (6k vertices), so the forward GEMM, dW
+  // and db all run in parallel regions.
+  const int team = NumThreads();
+  Dataset ds = SmallDataset("reddit", 1.0);
+  for (const GnnKind kind : {GnnKind::kSage, GnnKind::kGcn}) {
+    const ModelConfig cfg = ModelConfig::Make(kind, ds.feature_dim(), 64,
+                                              ds.num_classes, 2, 41);
+    std::vector<double> losses[2];
+    std::vector<std::vector<float>> params[2];
+    for (int run = 0; run < 2; ++run) {
+      const ScopedTeamSize threads(run == 0 ? 1 : team);
+      HongTuOptions o;
+      o.num_devices = 4;
+      o.chunks_per_partition = 2;
+      o.device_capacity_bytes = kBig;
+      auto e = HongTuEngine::Create(&ds, cfg, o);
+      ASSERT_TRUE(e.ok()) << e.status().ToString();
+      for (int epoch = 0; epoch < 2; ++epoch) {
+        auto r = e.ValueOrDie()->TrainEpoch();
+        ASSERT_TRUE(r.ok()) << r.status().ToString();
+        losses[run].push_back(r.ValueOrDie().loss);
+      }
+      for (const Tensor* p : e.ValueOrDie()->model()->AllParams()) {
+        params[run].emplace_back(p->data(), p->data() + p->size());
+      }
+    }
+    const char* name = GnnKindName(kind);
+    ASSERT_EQ(losses[0].size(), losses[1].size()) << name;
+    for (size_t i = 0; i < losses[0].size(); ++i) {
+      EXPECT_EQ(std::memcmp(&losses[0][i], &losses[1][i], sizeof(double)), 0)
+          << name << " epoch " << i << ": " << losses[0][i] << " vs "
+          << losses[1][i];
+    }
+    ASSERT_EQ(params[0].size(), params[1].size()) << name;
+    for (size_t i = 0; i < params[0].size(); ++i) {
+      ASSERT_EQ(params[0][i].size(), params[1][i].size()) << name;
+      EXPECT_EQ(std::memcmp(params[0][i].data(), params[1][i].data(),
+                            params[0][i].size() * sizeof(float)),
+                0)
+          << name << " param " << i;
     }
   }
 }

@@ -130,6 +130,109 @@ TEST_F(KernelsTest, ColumnSumAndDotMatchReference) {
   EXPECT_NEAR(d_ref, d_blk, kTol * x.size());
 }
 
+// ---- Golden GEMM-family digest ---------------------------------------------
+// FNV-1a over the blocked outputs of every dense kernel the layers call.
+// Each output element has one owning thread and a fixed summation order, so
+// the bits must not depend on the team size. The pinned value also catches
+// a change to the order itself (depth blocks, epilogue arithmetic). It
+// depends on the float code the compiler emits (FMA contraction) and on
+// libm's expf/tanhf, so it is pinned per build flavour; a flavour without a
+// pinned value still checks the team-size invariance.
+
+#if defined(__GNUC__) && !defined(__clang__) && defined(__FMA__)
+constexpr uint64_t kGemmFamilyGolden = 0x642bc732ba98d532ull;  // GCC, FMA
+#elif defined(__GNUC__) && !defined(__clang__) && defined(__x86_64__)
+constexpr uint64_t kGemmFamilyGolden = 0x54dd22c31cb5f23eull;  // GCC, no FMA
+#else
+constexpr uint64_t kGemmFamilyGolden = 0;  // not pinned
+#endif
+
+uint64_t Fnv1a(uint64_t h, const float* p, int64_t n) {
+  const auto* b = reinterpret_cast<const unsigned char*>(p);
+  for (int64_t i = 0; i < n * static_cast<int64_t>(sizeof(float)); ++i) {
+    h ^= b[i];
+    h *= 1099511628211ull;
+  }
+  return h;
+}
+
+uint64_t BlockedGemmFamilyDigest() {
+  constexpr auto kB = kernels::Backend::kBlocked;
+  uint64_t h = 1469598103934665603ull;
+  // Gemm (m, k, n): fewer output tiles than threads with five depth blocks,
+  // remainders in every dimension, two column blocks, and a layer shape
+  // with enough row tiles to run in parallel.
+  const int64_t gemm_shapes[][3] = {
+      {5, 1100, 19}, {67, 300, 150}, {300, 64, 260}, {600, 128, 128}};
+  for (const auto& s : gemm_shapes) {
+    const int64_t m = s[0], k = s[1], n = s[2];
+    const Tensor a = Tensor::Gaussian(m, k, 0.5f, 101 + m);
+    const Tensor b = Tensor::Gaussian(k, n, 0.5f, 103 + n);
+    const Tensor bias = Tensor::Gaussian(1, n, 0.5f, 107);
+    for (const auto ep :
+         {kernels::Epilogue::kNone, kernels::Epilogue::kBias,
+          kernels::Epilogue::kBiasRelu, kernels::Epilogue::kBiasSigmoid,
+          kernels::Epilogue::kBiasTanh}) {
+      for (const bool accumulate : {false, true}) {
+        Tensor c = Tensor::Gaussian(m, n, 0.3f, 109);
+        kernels::Gemm(kB, a.data(), b.data(), c.data(), m, k, n, accumulate,
+                      ep == kernels::Epilogue::kNone ? nullptr : bias.data(),
+                      ep);
+        h = Fnv1a(h, c.data(), c.size());
+      }
+    }
+  }
+  // GemmTransAAccum (k, m, n): k > 1024 spans two or three depth blocks;
+  // m=5, n=19 gives two output tiles.
+  const int64_t transa_shapes[][3] = {
+      {2500, 128, 128}, {1100, 5, 19}, {1500, 37, 70}};
+  for (const auto& s : transa_shapes) {
+    const int64_t k = s[0], m = s[1], n = s[2];
+    const Tensor a = Tensor::Gaussian(k, m, 0.5f, 113 + m);
+    const Tensor b = Tensor::Gaussian(k, n, 0.5f, 127 + n);
+    Tensor c = Tensor::Gaussian(m, n, 0.3f, 131);
+    kernels::GemmTransAAccum(kB, a.data(), b.data(), c.data(), k, m, n);
+    h = Fnv1a(h, c.data(), c.size());
+  }
+  // GemmTransB (m, k, n).
+  const int64_t transb_shapes[][3] = {
+      {600, 128, 64}, {5, 1100, 19}, {67, 300, 150}};
+  for (const auto& s : transb_shapes) {
+    const int64_t m = s[0], k = s[1], n = s[2];
+    const Tensor a = Tensor::Gaussian(m, k, 0.5f, 137 + m);
+    const Tensor b = Tensor::Gaussian(n, k, 0.5f, 139 + n);
+    Tensor c(m, n);
+    kernels::GemmTransB(kB, a.data(), b.data(), c.data(), m, k, n);
+    h = Fnv1a(h, c.data(), c.size());
+  }
+  // ColumnSumAccum (rows, cols): full and partial column blocks.
+  const int64_t colsum_shapes[][2] = {{3000, 128}, {700, 37}, {5, 19}};
+  for (const auto& s : colsum_shapes) {
+    const Tensor x = Tensor::Gaussian(s[0], s[1], 0.5f, 149 + s[1]);
+    Tensor out = Tensor::Gaussian(1, s[1], 0.2f, 151);
+    kernels::ColumnSumAccum(kB, x.data(), x.rows(), x.cols(), out.data());
+    h = Fnv1a(h, out.data(), out.size());
+  }
+  return h;
+}
+
+TEST_F(KernelsTest, BlockedGemmFamilyIsTeamSizeInvariant) {
+  const int team = NumThreads();
+  uint64_t first = 0;
+  for (const int threads : {1, 2, 3, team}) {
+    SetNumThreads(threads);
+    const uint64_t d = BlockedGemmFamilyDigest();
+    SetNumThreads(team);
+    if (threads == 1) first = d;
+    EXPECT_EQ(d, first) << "threads=" << threads << " digest=0x" << std::hex
+                        << d;
+    if (kGemmFamilyGolden != 0) {
+      EXPECT_EQ(d, kGemmFamilyGolden)
+          << "threads=" << threads << " digest=0x" << std::hex << d;
+    }
+  }
+}
+
 // ---- Work partitioner ------------------------------------------------------
 
 TEST_F(KernelsTest, ParallelForBalancedCoversEveryItemOnce) {
