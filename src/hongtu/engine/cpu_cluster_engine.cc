@@ -161,7 +161,9 @@ Result<EpochStats> CpuClusterEngine::EstimateEpoch() const {
     model_.layer(l)->ForwardCost(lg, &f, &b);
     flops += f;
     bytes += b;
-    model_.layer(l)->BackwardCost(lg, /*cached=*/false, &f, &b);
+    // Priced with layer 0's input gradient: the cluster worker computes it.
+    model_.layer(l)->BackwardCost(lg, /*cached=*/false, &f, &b,
+                                  /*has_out_h=*/false, /*has_d_src=*/true);
     flops += f;
     bytes += b;
   }

@@ -161,7 +161,9 @@ Result<std::unique_ptr<HongTuEngine>> HongTuEngine::Create(
   engine->grad_.reserve(L + 1);
   for (int l = 0; l <= L; ++l) {
     engine->h_.emplace_back(nv, model_config.dims[l]);
-    engine->grad_.emplace_back(nv, model_config.dims[l]);
+    // Nothing reads the input features' gradient: grad_[0] stays empty.
+    engine->grad_.push_back(l == 0 ? Tensor()
+                                   : Tensor(nv, model_config.dims[l]));
   }
   HT_RETURN_IF_ERROR(engine->h_[0].CopyFrom(dataset->features));
   engine->cache_.resize(L);
@@ -535,9 +537,15 @@ Status HongTuEngine::BackwardLayer(int l, PassModel* pm) {
   const int m = options_.num_devices;
   Layer* layer = model_.layer(l);
   const bool cached = use_cache_[l];
+  // Layer 0's input is the feature matrix: nothing reads its gradient, so
+  // the layer computes only its parameter gradients and flushes nothing.
+  const bool input_grad = l > 0;
+  // The hybrid path reads the ReLU mask from the stored activation h^{l+1}
+  // instead of re-running the UPDATE GEMMs for it.
+  const bool read_out = cached && layer->backward_reads_output();
   const kernels::CommPrecision wire = options_.comm_precision;
   const int64_t eb = kernels::CommElemBytes(wire);
-  grad_[l].Zero();
+  if (input_grad) grad_[l].Zero();
 
   // Load: destination gradients from host (Alg. 1 line 16), plus either the
   // AGGREGATE checkpoints (hybrid path, Fig. 4c — no neighbor reload) or
@@ -562,6 +570,12 @@ Status HongTuEngine::BackwardLayer(int l, PassModel* pm) {
       } else {
         ws_.dst_rows[i].EnsureShape(0, 0);
       }
+      if (read_out) {
+        // The forward's output workspace is idle in the backward.
+        HT_RETURN_IF_ERROR(GatherRows(h_[l + 1], chunk.dst_vertices,
+                                      &ws_.out[i], wire, &degrade_));
+        platform_->AddH2D(i, chunk.num_dst() * layer->out_dim() * eb);
+      }
     }
     return Status::OK();
   };
@@ -575,17 +589,20 @@ Status HongTuEngine::BackwardLayer(int l, PassModel* pm) {
         continue;
       }
       const LocalGraph lg = LocalGraph::FromChunk(chunk, chunk_schedules(i, j));
-      d_src.EnsureShapeZeroed(chunk.num_neighbors(), layer->in_dim());
+      if (input_grad) {
+        d_src.EnsureShapeZeroed(chunk.num_neighbors(), layer->in_dim());
+      }
+      Tensor* ds = input_grad ? &d_src : nullptr;
       if (cached) {
-        HT_RETURN_IF_ERROR(layer->BackwardCached(lg, ws_.agg[i],
-                                                 ws_.dst_rows[i],
-                                                 ws_.d_dst[i], &d_src));
+        HT_RETURN_IF_ERROR(layer->BackwardCached(
+            lg, ws_.agg[i], ws_.dst_rows[i], ws_.d_dst[i], ds,
+            read_out ? &ws_.out[i] : nullptr));
       } else {
         HT_RETURN_IF_ERROR(layer->BackwardRecompute(
-            lg, executor_->slot_buffers(0)[i], ws_.d_dst[i], &d_src));
+            lg, executor_->slot_buffers(0)[i], ws_.d_dst[i], ds));
       }
       double flops = 0, bytes = 0;
-      layer->BackwardCost(lg, cached, &flops, &bytes);
+      layer->BackwardCost(lg, cached, &flops, &bytes, read_out, input_grad);
       platform_->AddGpuCompute(i, flops, bytes);
     }
     return Status::OK();
@@ -593,6 +610,7 @@ Status HongTuEngine::BackwardLayer(int l, PassModel* pm) {
   // Store: deduplicated gradient write-back (Alg. 1 line 19 / Alg. 3), in
   // batch order, so the host-side accumulation order is fixed.
   const auto store = [&](int j) {
+    if (!input_grad) return Status::OK();
     return executor_->BackwardAccumulate(j, ws_.d_src, &grad_[l]);
   };
   return RunLayer(l, /*backward=*/true, pm, load, compute, store);

@@ -180,7 +180,7 @@ class HongTuEngine : public Engine {
   std::unique_ptr<CommExecutor> executor_;
 
   std::vector<Tensor> h_;      ///< h^l, l = 0..L (host)
-  std::vector<Tensor> grad_;   ///< grad h^l, l = 0..L (host)
+  std::vector<Tensor> grad_;   ///< grad h^l, l = 1..L (host; [0] is empty)
   std::vector<Tensor> cache_;  ///< AGGREGATE checkpoints per layer (host)
   std::vector<bool> use_cache_;  ///< per layer: hybrid cache active
   Workspace ws_;  ///< reusable chunk workspaces

@@ -186,14 +186,19 @@ Result<EpochStats> InMemoryEngine::TrainEpoch() {
   const int64_t nv = ds_->graph.num_vertices();
   for (int l = L - 1; l >= 0; --l) {
     Layer* layer = model_.layer(l);
-    Tensor d_src(nv, layer->in_dim());
-    HT_RETURN_IF_ERROR(
-        layer->BackwardStored(lg, *ctx_[l], h_[l], d_next, &d_src));
+    // Layer 0's input is the feature matrix: no input gradient to compute
+    // or to exchange between replicas.
+    const bool input_grad = l > 0;
+    Tensor d_src = input_grad ? Tensor(nv, layer->in_dim()) : Tensor();
+    HT_RETURN_IF_ERROR(layer->BackwardStored(lg, *ctx_[l], h_[l], d_next,
+                                             input_grad ? &d_src : nullptr));
     double flops = 0, bytes = 0;
-    layer->BackwardCost(lg, /*cached=*/true, &flops, &bytes);
+    layer->BackwardCost(lg, /*cached=*/true, &flops, &bytes,
+                        /*has_out_h=*/true, input_grad);
     const int64_t eb = kernels::CommElemBytes(options_.comm_precision);
     for (int i = 0; i < m; ++i) {
       platform_->AddGpuCompute(i, flops / m, bytes / m);
+      if (!input_grad) continue;
       platform_->AddD2D(
           i, static_cast<int64_t>((alpha_m_ - 1.0) * nv / m) *
                  layer->in_dim() * eb);

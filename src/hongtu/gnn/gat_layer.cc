@@ -292,6 +292,7 @@ Status GatLayer::BackwardStored(const LocalGraph& g, const LayerCtx& ctx,
 
   // Weight gradient and input gradient.
   ops::MatmulTransAAccum(src_h, dp, &dw_);
+  if (d_src == nullptr) return Status::OK();
   Tensor dx = Tensor::Uninitialized(g.num_src, in_dim_);
   ops::MatmulTransB(dp, w_, &dx);
   ops::AddInPlace(dx, d_src);
@@ -314,13 +315,21 @@ void GatLayer::ForwardCost(const LocalGraph& g, double* flops,
 }
 
 void GatLayer::BackwardCost(const LocalGraph& g, bool cached, double* flops,
-                            double* bytes) const {
-  (void)cached;  // GAT always recomputes.
+                            double* bytes, bool has_out_h,
+                            bool has_d_src) const {
+  (void)cached;     // GAT always recomputes.
+  (void)has_out_h;  // its mask comes from the recomputed pre-activation
   double ff, fb;
   ForwardCost(g, &ff, &fb);
   // Backward roughly mirrors forward twice (dP accumulation + scatter).
   *flops = 2.0 * ff;
   *bytes = 2.0 * fb;
+  if (!has_d_src) {
+    // No dX = dP W^T and no accumulation into d_src.
+    const double ns = static_cast<double>(g.num_src);
+    *flops -= 2.0 * ns * in_dim_ * out_dim_;
+    *bytes -= ns * in_dim_ * 8.0;
+  }
 }
 
 }  // namespace hongtu

@@ -38,7 +38,8 @@ class GatLayer : public Layer {
   void ForwardCost(const LocalGraph& g, double* flops,
                    double* bytes) const override;
   void BackwardCost(const LocalGraph& g, bool cached, double* flops,
-                    double* bytes) const override;
+                    double* bytes, bool has_out_h,
+                    bool has_d_src) const override;
 
   static constexpr float kLeakySlope = 0.2f;
 

@@ -61,21 +61,27 @@ Status GcnLayer::ForwardStore(const LocalGraph& g, const Tensor& src_h,
   return Status::OK();
 }
 
-Status GcnLayer::BackwardFromAgg(const LocalGraph& g, const Tensor& agg,
-                                 const Tensor& d_dst, Tensor* d_src) {
+Status GcnLayer::BackwardImpl(const LocalGraph& g, const Tensor& agg,
+                              const Tensor& d_dst, Tensor* d_src,
+                              const Tensor* out_h) {
   Tensor dz = Tensor::Uninitialized(g.num_dst, out_dim_);
   if (relu_) {
-    // Recompute the activated output for the ReLU mask (identical to the
-    // forward value, §4.2; h > 0 iff the pre-activation was > 0).
-    Tensor h = Tensor::Uninitialized(g.num_dst, out_dim_);
-    UpdateForward(agg, w_, b_, /*relu=*/true, &h);
-    ops::ReluBackward(h, d_dst, &dz);
+    if (out_h != nullptr) {
+      ops::ReluBackward(*out_h, d_dst, &dz);
+    } else {
+      // Recompute the activated output for the ReLU mask (identical to the
+      // forward value, §4.2; h > 0 iff the pre-activation was > 0).
+      Tensor h = Tensor::Uninitialized(g.num_dst, out_dim_);
+      UpdateForward(agg, w_, b_, /*relu=*/true, &h);
+      ops::ReluBackward(h, d_dst, &dz);
+    }
   } else {
     HT_RETURN_IF_ERROR(dz.CopyFrom(d_dst));
   }
   // Param grads.
   ops::MatmulTransAAccum(agg, dz, &dw_);
   ops::ColumnSumAccum(dz, &db_);
+  if (d_src == nullptr) return Status::OK();
   // d_agg = dz * W^T, then scatter along edges to sources.
   Tensor dagg = Tensor::Uninitialized(g.num_dst, in_dim_);
   ops::MatmulTransB(dz, w_, &dagg);
@@ -88,25 +94,14 @@ Status GcnLayer::BackwardStored(const LocalGraph& g, const LayerCtx& ctx,
                                 Tensor* d_src) {
   (void)src_h;
   const auto& c = static_cast<const GcnCtx&>(ctx);
-  Tensor dz = Tensor::Uninitialized(g.num_dst, out_dim_);
-  if (relu_) {
-    ops::ReluBackward(c.h, d_dst, &dz);
-  } else {
-    HT_RETURN_IF_ERROR(dz.CopyFrom(d_dst));
-  }
-  ops::MatmulTransAAccum(c.agg, dz, &dw_);
-  ops::ColumnSumAccum(dz, &db_);
-  Tensor dagg = Tensor::Uninitialized(g.num_dst, in_dim_);
-  ops::MatmulTransB(dz, w_, &dagg);
-  ScatterWeightedAccum(g, dagg, d_src);
-  return Status::OK();
+  return BackwardImpl(g, c.agg, d_dst, d_src, &c.h);
 }
 
 Status GcnLayer::BackwardCached(const LocalGraph& g, const Tensor& agg,
                                 const Tensor& dst_h, const Tensor& d_dst,
-                                Tensor* d_src) {
+                                Tensor* d_src, const Tensor* out_h) {
   (void)dst_h;
-  return BackwardFromAgg(g, agg, d_dst, d_src);
+  return BackwardImpl(g, agg, d_dst, d_src, out_h);
 }
 
 void GcnLayer::ForwardCost(const LocalGraph& g, double* flops,
@@ -118,13 +113,23 @@ void GcnLayer::ForwardCost(const LocalGraph& g, double* flops,
 }
 
 void GcnLayer::BackwardCost(const LocalGraph& g, bool cached, double* flops,
-                            double* bytes) const {
+                            double* bytes, bool has_out_h,
+                            bool has_d_src) const {
   const double e = static_cast<double>(g.num_edges);
   const double nd = static_cast<double>(g.num_dst);
   const double ns = static_cast<double>(g.num_src);
-  // UPDATE re-forward + dW + dagg + scatter.
-  *flops = 6.0 * nd * in_dim_ * out_dim_ + 2.0 * e * in_dim_;
-  *bytes = (e + nd + ns) * in_dim_ * 4.0 + nd * out_dim_ * 12.0;
+  // dW, plus the UPDATE re-forward: the recompute path's ForwardStore
+  // always runs it, the cached path only to recompute the ReLU mask.
+  *flops = 2.0 * nd * in_dim_ * out_dim_;
+  *bytes = nd * in_dim_ * 4.0 + nd * out_dim_ * 12.0;
+  if (!cached || (relu_ && !has_out_h)) {
+    *flops += 2.0 * nd * in_dim_ * out_dim_;
+  }
+  if (has_d_src) {
+    // dagg = dz W^T, scattered along the edges to the sources.
+    *flops += 2.0 * nd * in_dim_ * out_dim_ + 2.0 * e * in_dim_;
+    *bytes += (e + ns) * in_dim_ * 4.0;
+  }
   if (!cached) {
     // Full recomputation repeats the AGGREGATE as well.
     *flops += 2.0 * e * in_dim_;

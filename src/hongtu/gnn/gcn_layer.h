@@ -19,6 +19,7 @@ class GcnLayer : public Layer {
   int in_dim() const override { return in_dim_; }
   int out_dim() const override { return out_dim_; }
   bool cacheable() const override { return true; }
+  bool backward_reads_output() const override { return relu_; }
 
   std::vector<Tensor*> params() override { return {&w_, &b_}; }
   std::vector<Tensor*> grads() override { return {&dw_, &db_}; }
@@ -32,17 +33,20 @@ class GcnLayer : public Layer {
                         Tensor* d_src) override;
   Status BackwardCached(const LocalGraph& g, const Tensor& agg,
                         const Tensor& dst_h, const Tensor& d_dst,
-                        Tensor* d_src) override;
+                        Tensor* d_src, const Tensor* out_h) override;
 
   void ForwardCost(const LocalGraph& g, double* flops,
                    double* bytes) const override;
   void BackwardCost(const LocalGraph& g, bool cached, double* flops,
-                    double* bytes) const override;
+                    double* bytes, bool has_out_h,
+                    bool has_d_src) const override;
 
  private:
-  /// Shared backward tail given the (cached or stored) aggregate output.
-  Status BackwardFromAgg(const LocalGraph& g, const Tensor& agg,
-                         const Tensor& d_dst, Tensor* d_src);
+  /// The one backward body of the stored and cached paths, given the
+  /// aggregate output. `out_h` is the activated output (stored or read back
+  /// from the host); null means recompute it for the ReLU mask.
+  Status BackwardImpl(const LocalGraph& g, const Tensor& agg,
+                      const Tensor& d_dst, Tensor* d_src, const Tensor* out_h);
 
   int in_dim_, out_dim_;
   bool relu_;

@@ -193,6 +193,7 @@ Status GgnnLayer::BackwardImpl(const LocalGraph& g, const Tensor& agg,
   // Input projections.
   ops::MatmulTransAAccum(agg, dm, &dwm_);
   ops::MatmulTransAAccum(dst_h, ds, &dws_);
+  if (d_src == nullptr) return Status::OK();
   Tensor dagg = Tensor::Uninitialized(nd, in_dim_);
   ops::MatmulTransB(dm, wm_, &dagg);
   ScatterSumAccum(g, dagg, d_src);
@@ -213,7 +214,8 @@ Status GgnnLayer::BackwardStored(const LocalGraph& g, const LayerCtx& ctx,
 
 Status GgnnLayer::BackwardCached(const LocalGraph& g, const Tensor& agg,
                                  const Tensor& dst_h, const Tensor& d_dst,
-                                 Tensor* d_src) {
+                                 Tensor* d_src, const Tensor* out_h) {
+  (void)out_h;  // no activation mask: the gates are recomputed anyway
   return BackwardImpl(g, agg, dst_h, d_dst, d_src);
 }
 
@@ -228,11 +230,21 @@ void GgnnLayer::ForwardCost(const LocalGraph& g, double* flops,
 }
 
 void GgnnLayer::BackwardCost(const LocalGraph& g, bool cached, double* flops,
-                             double* bytes) const {
+                             double* bytes, bool has_out_h,
+                             bool has_d_src) const {
+  (void)has_out_h;
   double ff = 0, fb = 0;
   ForwardCost(g, &ff, &fb);
   *flops = 2.2 * ff;
   *bytes = 2.2 * fb;
+  if (!has_d_src) {
+    // No dagg/dself GEMMs and no scatters to the sources.
+    const double e = static_cast<double>(g.num_edges);
+    const double nd = static_cast<double>(g.num_dst);
+    const double ns = static_cast<double>(g.num_src);
+    *flops -= 4.0 * nd * in_dim_ * out_dim_ + 2.0 * e * in_dim_;
+    *bytes -= (e + ns) * in_dim_ * 4.0;
+  }
   if (!cached) {
     *flops += 2.0 * static_cast<double>(g.num_edges) * in_dim_;
     *bytes += static_cast<double>(g.num_edges) * in_dim_ * 4.0;

@@ -47,12 +47,13 @@ class GgnnLayer : public Layer {
                         Tensor* d_src) override;
   Status BackwardCached(const LocalGraph& g, const Tensor& agg,
                         const Tensor& dst_h, const Tensor& d_dst,
-                        Tensor* d_src) override;
+                        Tensor* d_src, const Tensor* out_h) override;
 
   void ForwardCost(const LocalGraph& g, double* flops,
                    double* bytes) const override;
   void BackwardCost(const LocalGraph& g, bool cached, double* flops,
-                    double* bytes) const override;
+                    double* bytes, bool has_out_h,
+                    bool has_d_src) const override;
 
  private:
   Status BackwardImpl(const LocalGraph& g, const Tensor& agg,

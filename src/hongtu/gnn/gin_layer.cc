@@ -94,7 +94,7 @@ Status GinLayer::ForwardStore(const LocalGraph& g, const Tensor& src_h,
 
 Status GinLayer::BackwardImpl(const LocalGraph& g, const Tensor& agg,
                               const Tensor& dst_h, const Tensor& d_dst,
-                              Tensor* d_src, const Tensor* stored_h) {
+                              Tensor* d_src, const Tensor* out_h) {
   if (dst_h.rows() != g.num_dst || dst_h.cols() != in_dim_) {
     return Status::Invalid("GinLayer backward requires destination rows");
   }
@@ -105,8 +105,8 @@ Status GinLayer::BackwardImpl(const LocalGraph& g, const Tensor& agg,
 
   Tensor dz = Tensor::Uninitialized(g.num_dst, out_dim_);
   if (relu_) {
-    if (stored_h != nullptr) {
-      ops::ReluBackward(*stored_h, d_dst, &dz);
+    if (out_h != nullptr) {
+      ops::ReluBackward(*out_h, d_dst, &dz);
     } else {
       // Recompute the activated output for the ReLU mask (h > 0 iff z > 0).
       Tensor h = Tensor::Uninitialized(g.num_dst, out_dim_);
@@ -118,11 +118,12 @@ Status GinLayer::BackwardImpl(const LocalGraph& g, const Tensor& agg,
   }
   ops::MatmulTransAAccum(comb, dz, &dw_);
   ops::ColumnSumAccum(dz, &db_);
-  // dcomb = dz * W^T.
+  // dcomb = dz * W^T; the eps gradient needs it even without d_src.
   Tensor dcomb = Tensor::Uninitialized(g.num_dst, in_dim_);
   ops::MatmulTransB(dz, w_, &dcomb);
   // eps gradient: sum(dcomb . dst_h).
   deps_.at(0, 0) += static_cast<float>(ops::Dot(dcomb, dst_h));
+  if (d_src == nullptr) return Status::OK();
   // Neighbor path (unweighted sum) and self path.
   ScatterSumAccum(g, dcomb, d_src);
   kernels::ScatterRowsAccum(kernels::ActiveBackend(), g.self_idx, g.num_dst,
@@ -141,8 +142,8 @@ Status GinLayer::BackwardStored(const LocalGraph& g, const LayerCtx& ctx,
 
 Status GinLayer::BackwardCached(const LocalGraph& g, const Tensor& agg,
                                 const Tensor& dst_h, const Tensor& d_dst,
-                                Tensor* d_src) {
-  return BackwardImpl(g, agg, dst_h, d_dst, d_src, /*stored_h=*/nullptr);
+                                Tensor* d_src, const Tensor* out_h) {
+  return BackwardImpl(g, agg, dst_h, d_dst, d_src, out_h);
 }
 
 void GinLayer::ForwardCost(const LocalGraph& g, double* flops,
@@ -155,13 +156,24 @@ void GinLayer::ForwardCost(const LocalGraph& g, double* flops,
 }
 
 void GinLayer::BackwardCost(const LocalGraph& g, bool cached, double* flops,
-                            double* bytes) const {
+                            double* bytes, bool has_out_h,
+                            bool has_d_src) const {
   const double e = static_cast<double>(g.num_edges);
   const double nd = static_cast<double>(g.num_dst);
   const double ns = static_cast<double>(g.num_src);
-  *flops = 6.0 * nd * in_dim_ * out_dim_ + 2.0 * e * in_dim_ +
-           4.0 * nd * in_dim_;
-  *bytes = (e + 2.0 * nd + ns) * in_dim_ * 4.0 + nd * out_dim_ * 12.0;
+  // dW and dcomb (the eps gradient reads it), the combine and the eps dot,
+  // plus the UPDATE re-forward: the recompute path's ForwardStore always
+  // runs it, the cached path only to recompute the ReLU mask.
+  *flops = 4.0 * nd * in_dim_ * out_dim_ + 4.0 * nd * in_dim_;
+  *bytes = 2.0 * nd * in_dim_ * 4.0 + nd * out_dim_ * 12.0;
+  if (!cached || (relu_ && !has_out_h)) {
+    *flops += 2.0 * nd * in_dim_ * out_dim_;
+  }
+  if (has_d_src) {
+    // The sum scatter and the (1 + eps) self scatter.
+    *flops += 2.0 * e * in_dim_;
+    *bytes += (e + ns) * in_dim_ * 4.0;
+  }
   if (!cached) {
     *flops += 2.0 * e * in_dim_;
     *bytes += e * in_dim_ * 4.0;

@@ -105,12 +105,13 @@ void Layer::ZeroGrads() {
 
 Status Layer::BackwardCached(const LocalGraph& g, const Tensor& agg,
                              const Tensor& dst_h, const Tensor& d_dst,
-                             Tensor* d_src) {
+                             Tensor* d_src, const Tensor* out_h) {
   (void)g;
   (void)agg;
   (void)dst_h;
   (void)d_dst;
   (void)d_src;
+  (void)out_h;
   return Status::NotImplemented(std::string(name()) +
                                 ": aggregate caching unsupported (edge-NN "
                                 "model falls back to recomputation)");

@@ -13,6 +13,18 @@
 ///                        AGGREGATE output (the recomputation-caching hybrid,
 ///                        Fig. 4c; models with arithmetic-only aggregation).
 /// `cacheable()` says whether BackwardCached is available (§4.2).
+///
+/// The backward computes only what its gradients need:
+///   - A ReLU layer's mask is the sign of its activated output, which the
+///     engines already hold as vertex data (h^{l+1}). BackwardCached takes
+///     those rows as `out_h`; `backward_reads_output()` says whether it
+///     reads them, and a null `out_h` re-runs the UPDATE GEMMs for the mask
+///     instead. Both give the same gradients bit for bit when `out_h` holds
+///     the forward's exact output.
+///   - `d_src` may be null in every backward mode: the parameter gradients
+///     are computed as usual and only the input-gradient products are
+///     skipped. Engines pass null at layer 0, whose input is the feature
+///     matrix that nothing trains.
 
 #pragma once
 
@@ -94,6 +106,9 @@ class Layer {
   /// True when BackwardCached additionally needs the destinations' own input
   /// representations (SAGE self-term, GIN (1+eps) term).
   virtual bool needs_dst_h() const { return false; }
+  /// True when BackwardCached reads `out_h`, the layer's own activated
+  /// output, for its activation mask (a ReLU layer).
+  virtual bool backward_reads_output() const { return false; }
   /// Column count of the cached AGGREGATE output.
   virtual int agg_dim() const { return in_dim(); }
 
@@ -120,29 +135,39 @@ class Layer {
 
   /// Backward from stored intermediates. `src_h` are the same neighbor
   /// representations the forward consumed (resident in in-memory engines,
-  /// reloaded in the recompute path). `d_src` must be pre-zeroed with shape
-  /// (num_src x in_dim); param grads are accumulated.
+  /// reloaded in the recompute path). `d_src` is null (no input gradient)
+  /// or pre-zeroed with shape (num_src x in_dim); param grads are
+  /// accumulated.
   virtual Status BackwardStored(const LocalGraph& g, const LayerCtx& ctx,
                                 const Tensor& src_h, const Tensor& d_dst,
                                 Tensor* d_src) = 0;
 
   /// Backward from the cached AGGREGATE output (the hybrid path). `dst_h`
   /// is only read when needs_dst_h(); pass an empty tensor otherwise.
+  /// `out_h` is the layer's activated output for the chunk's destinations
+  /// (num_dst x out_dim), read when backward_reads_output(); null means
+  /// recompute it. `d_src` as in BackwardStored.
   virtual Status BackwardCached(const LocalGraph& g, const Tensor& agg,
                                 const Tensor& dst_h, const Tensor& d_dst,
-                                Tensor* d_src);
+                                Tensor* d_src, const Tensor* out_h = nullptr);
 
   /// Backward with full recomputation from neighbor representations.
-  /// Default: ForwardStore (discarding dst_h) + BackwardStored.
+  /// Default: ForwardStore (discarding dst_h) + BackwardStored. `d_src` as
+  /// in BackwardStored.
   virtual Status BackwardRecompute(const LocalGraph& g, const Tensor& src_h,
                                    const Tensor& d_dst, Tensor* d_src);
 
   /// Roofline cost of Forward on `g` (simulated-GPU time accounting).
   virtual void ForwardCost(const LocalGraph& g, double* flops,
                            double* bytes) const = 0;
-  /// Cost of the backward pass; `cached` selects the hybrid path.
+  /// Cost of the backward pass; `cached` selects the hybrid (or stored)
+  /// path. It prices what runs: the UPDATE re-forward always on the
+  /// recompute path, and on the cached path only when the activation mask is
+  /// recomputed, i.e. without `has_out_h` (the activated output given as
+  /// `out_h` or stored); the input-gradient products only with `has_d_src`.
   virtual void BackwardCost(const LocalGraph& g, bool cached, double* flops,
-                            double* bytes) const = 0;
+                            double* bytes, bool has_out_h,
+                            bool has_d_src) const = 0;
 };
 
 // ---- Shared sparse kernels (the cuSparse stand-ins). -----------------------

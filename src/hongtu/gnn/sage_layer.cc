@@ -80,14 +80,14 @@ Status SageLayer::ForwardStore(const LocalGraph& g, const Tensor& src_h,
 
 Status SageLayer::BackwardImpl(const LocalGraph& g, const Tensor& agg,
                                const Tensor& dst_h, const Tensor& d_dst,
-                               Tensor* d_src, const Tensor* stored_h) {
+                               Tensor* d_src, const Tensor* out_h) {
   if (dst_h.rows() != g.num_dst || dst_h.cols() != in_dim_) {
     return Status::Invalid("SageLayer backward requires destination rows");
   }
   Tensor dz = Tensor::Uninitialized(g.num_dst, out_dim_);
   if (relu_) {
-    if (stored_h != nullptr) {
-      ops::ReluBackward(*stored_h, d_dst, &dz);
+    if (out_h != nullptr) {
+      ops::ReluBackward(*out_h, d_dst, &dz);
     } else {
       // Recompute the activated output for the ReLU mask (h > 0 iff z > 0).
       Tensor h = Tensor::Uninitialized(g.num_dst, out_dim_);
@@ -100,6 +100,7 @@ Status SageLayer::BackwardImpl(const LocalGraph& g, const Tensor& agg,
   ops::MatmulTransAAccum(dst_h, dz, &dw_self_);
   ops::MatmulTransAAccum(agg, dz, &dw_nbr_);
   ops::ColumnSumAccum(dz, &db_);
+  if (d_src == nullptr) return Status::OK();
   // Neighbor path: d_agg scattered with mean weights.
   Tensor dagg = Tensor::Uninitialized(g.num_dst, in_dim_);
   ops::MatmulTransB(dz, w_nbr_, &dagg);
@@ -122,8 +123,8 @@ Status SageLayer::BackwardStored(const LocalGraph& g, const LayerCtx& ctx,
 
 Status SageLayer::BackwardCached(const LocalGraph& g, const Tensor& agg,
                                  const Tensor& dst_h, const Tensor& d_dst,
-                                 Tensor* d_src) {
-  return BackwardImpl(g, agg, dst_h, d_dst, d_src, /*stored_h=*/nullptr);
+                                 Tensor* d_src, const Tensor* out_h) {
+  return BackwardImpl(g, agg, dst_h, d_dst, d_src, out_h);
 }
 
 void SageLayer::ForwardCost(const LocalGraph& g, double* flops,
@@ -135,12 +136,24 @@ void SageLayer::ForwardCost(const LocalGraph& g, double* flops,
 }
 
 void SageLayer::BackwardCost(const LocalGraph& g, bool cached, double* flops,
-                             double* bytes) const {
+                             double* bytes, bool has_out_h,
+                             bool has_d_src) const {
   const double e = static_cast<double>(g.num_edges);
   const double nd = static_cast<double>(g.num_dst);
   const double ns = static_cast<double>(g.num_src);
-  *flops = 12.0 * nd * in_dim_ * out_dim_ + 2.0 * e * in_dim_;
-  *bytes = (e + 2.0 * nd + ns) * in_dim_ * 4.0 + nd * out_dim_ * 12.0;
+  // Two dW GEMMs, plus the two-GEMM UPDATE re-forward: the recompute
+  // path's ForwardStore always runs it, the cached path only to recompute
+  // the ReLU mask.
+  *flops = 4.0 * nd * in_dim_ * out_dim_;
+  *bytes = 2.0 * nd * in_dim_ * 4.0 + nd * out_dim_ * 12.0;
+  if (!cached || (relu_ && !has_out_h)) {
+    *flops += 4.0 * nd * in_dim_ * out_dim_;
+  }
+  if (has_d_src) {
+    // Two dX GEMMs, the mean scatter and the self scatter.
+    *flops += 4.0 * nd * in_dim_ * out_dim_ + 2.0 * e * in_dim_;
+    *bytes += (e + ns) * in_dim_ * 4.0;
+  }
   if (!cached) {
     *flops += 2.0 * e * in_dim_;
     *bytes += e * in_dim_ * 4.0;

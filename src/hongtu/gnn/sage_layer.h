@@ -20,6 +20,7 @@ class SageLayer : public Layer {
   int out_dim() const override { return out_dim_; }
   bool cacheable() const override { return true; }
   bool needs_dst_h() const override { return true; }
+  bool backward_reads_output() const override { return relu_; }
 
   std::vector<Tensor*> params() override { return {&w_self_, &w_nbr_, &b_}; }
   std::vector<Tensor*> grads() override { return {&dw_self_, &dw_nbr_, &db_}; }
@@ -33,19 +34,20 @@ class SageLayer : public Layer {
                         Tensor* d_src) override;
   Status BackwardCached(const LocalGraph& g, const Tensor& agg,
                         const Tensor& dst_h, const Tensor& d_dst,
-                        Tensor* d_src) override;
+                        Tensor* d_src, const Tensor* out_h) override;
 
   void ForwardCost(const LocalGraph& g, double* flops,
                    double* bytes) const override;
   void BackwardCost(const LocalGraph& g, bool cached, double* flops,
-                    double* bytes) const override;
+                    double* bytes, bool has_out_h,
+                    bool has_d_src) const override;
 
  private:
-  /// `stored_h` is the activated forward output when available (stored
-  /// path); null means recompute it for the ReLU mask (cached path).
+  /// `out_h` is the activated forward output (stored, or read back from
+  /// the host); null means recompute it for the ReLU mask.
   Status BackwardImpl(const LocalGraph& g, const Tensor& agg,
                       const Tensor& dst_h, const Tensor& d_dst, Tensor* d_src,
-                      const Tensor* stored_h);
+                      const Tensor* out_h);
 
   int in_dim_, out_dim_;
   bool relu_;

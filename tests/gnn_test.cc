@@ -4,7 +4,10 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <functional>
 #include <numeric>
+#include <string>
 
 #include "hongtu/gnn/gat_layer.h"
 #include "hongtu/gnn/gcn_layer.h"
@@ -144,15 +147,44 @@ TEST(GradCheck, GatNoRelu) {
   CheckGradients(&layer, g, 0.03);
 }
 
+bool BitwiseEqual(const Tensor& a, const Tensor& b) {
+  return a.rows() == b.rows() && a.cols() == b.cols() &&
+         std::memcmp(a.data(), b.data(), a.bytes()) == 0;
+}
+
+/// Parameter gradients after one backward call from zeroed gradients.
+std::vector<Tensor> GradsAfter(Layer* layer,
+                               const std::function<Status()>& backward) {
+  layer->ZeroGrads();
+  EXPECT_TRUE(backward().ok()) << layer->name();
+  std::vector<Tensor> out;
+  for (Tensor* t : layer->grads()) out.push_back(t->Clone());
+  return out;
+}
+
+void ExpectSameGrads(const std::vector<Tensor>& a, const std::vector<Tensor>& b,
+                     const std::string& what) {
+  ASSERT_EQ(a.size(), b.size()) << what;
+  for (size_t p = 0; p < a.size(); ++p) {
+    EXPECT_TRUE(BitwiseEqual(a[p], b[p])) << what << " param " << p;
+  }
+}
+
 /// The cached backward (Fig. 4c) must produce identical gradients to the
-/// stored backward (Fig. 4a) — the paper's accuracy-preservation claim.
+/// stored backward (Fig. 4a) — the paper's accuracy-preservation claim. Its
+/// two forms, re-running the UPDATE for the activation mask and reading the
+/// mask from the activated output `out_h`, agree with each other and with
+/// the stored backward bit for bit.
 template <typename LayerT>
-void CheckCachedEqualsStored(int in_dim, int out_dim, uint64_t seed) {
+void CheckCachedEqualsStored(int in_dim, int out_dim, uint64_t seed,
+                             bool relu) {
   Graph g = SmallGraph(32, 150, seed);
   const Chunk chunk = FullChunk(g);
   const LocalGraph lg = LocalGraph::FromChunk(chunk);
-  LayerT layer(in_dim, out_dim, /*relu=*/true, seed + 7);
+  LayerT layer(in_dim, out_dim, relu, seed + 7);
   ASSERT_TRUE(layer.cacheable());
+  const std::string what =
+      std::string(layer.name()) + (relu ? " relu" : " linear");
 
   Tensor src_h = Tensor::Gaussian(lg.num_src, in_dim, 0.5f, seed + 9);
   Tensor d_dst = Tensor::Gaussian(lg.num_dst, out_dim, 0.5f, seed + 10);
@@ -161,42 +193,57 @@ void CheckCachedEqualsStored(int in_dim, int out_dim, uint64_t seed) {
   Tensor dst_h;
   std::unique_ptr<LayerCtx> ctx;
   ASSERT_TRUE(layer.ForwardStore(lg, src_h, &dst_h, &ctx).ok());
-  layer.ZeroGrads();
   Tensor d_src_stored(lg.num_src, in_dim);
-  ASSERT_TRUE(
-      layer.BackwardStored(lg, *ctx, src_h, d_dst, &d_src_stored).ok());
-  std::vector<Tensor> grads_stored;
-  for (Tensor* t : layer.grads()) grads_stored.push_back(t->Clone());
+  const auto grads_stored = GradsAfter(&layer, [&] {
+    return layer.BackwardStored(lg, *ctx, src_h, d_dst, &d_src_stored);
+  });
 
-  // Cached path: forward with aggregate capture, then BackwardCached.
-  Tensor dst_h2, agg;
-  ASSERT_TRUE(layer.Forward(lg, src_h, &dst_h2, &agg).ok());
-  EXPECT_LT(Tensor::MaxAbsDiff(dst_h, dst_h2), 1e-6);
+  // Cached path: forward with aggregate capture, then BackwardCached. The
+  // forward's output is the `out_h` the engine reads back from the host.
+  Tensor out_h, agg;
+  ASSERT_TRUE(layer.Forward(lg, src_h, &out_h, &agg).ok());
+  EXPECT_LT(Tensor::MaxAbsDiff(dst_h, out_h), 1e-6);
   // dst rows from the "host": with the identity chunk they're src_h rows.
-  layer.ZeroGrads();
-  Tensor d_src_cached(lg.num_src, in_dim);
-  ASSERT_TRUE(
-      layer.BackwardCached(lg, agg, src_h, d_dst, &d_src_cached).ok());
+  Tensor d_src_cached(lg.num_src, in_dim), d_src_out(lg.num_src, in_dim);
+  const auto grads_cached = GradsAfter(&layer, [&] {
+    return layer.BackwardCached(lg, agg, src_h, d_dst, &d_src_cached,
+                                /*out_h=*/nullptr);
+  });
+  const auto grads_out = GradsAfter(&layer, [&] {
+    return layer.BackwardCached(lg, agg, src_h, d_dst, &d_src_out, &out_h);
+  });
 
-  EXPECT_LT(Tensor::MaxAbsDiff(d_src_stored, d_src_cached), 1e-5);
-  auto grads_cached = layer.grads();
-  for (size_t p = 0; p < grads_cached.size(); ++p) {
-    EXPECT_LT(Tensor::MaxAbsDiff(grads_stored[p], *grads_cached[p]), 1e-5)
-        << "param " << p;
-  }
+  EXPECT_TRUE(BitwiseEqual(d_src_stored, d_src_cached)) << what;
+  EXPECT_TRUE(BitwiseEqual(d_src_stored, d_src_out)) << what;
+  ExpectSameGrads(grads_stored, grads_cached, what + " cached");
+  ExpectSameGrads(grads_stored, grads_out, what + " cached out_h");
 }
 
 TEST(CachedBackward, GcnMatchesStored) {
-  CheckCachedEqualsStored<GcnLayer>(6, 4, 21);
+  CheckCachedEqualsStored<GcnLayer>(6, 4, 21, /*relu=*/true);
+  CheckCachedEqualsStored<GcnLayer>(6, 4, 21, /*relu=*/false);
 }
 TEST(CachedBackward, SageMatchesStored) {
-  CheckCachedEqualsStored<SageLayer>(6, 4, 22);
+  CheckCachedEqualsStored<SageLayer>(6, 4, 22, /*relu=*/true);
+  CheckCachedEqualsStored<SageLayer>(6, 4, 22, /*relu=*/false);
 }
 TEST(CachedBackward, GinMatchesStored) {
-  CheckCachedEqualsStored<GinLayer>(6, 4, 23);
+  CheckCachedEqualsStored<GinLayer>(6, 4, 23, /*relu=*/true);
+  CheckCachedEqualsStored<GinLayer>(6, 4, 23, /*relu=*/false);
 }
 TEST(CachedBackward, GgnnMatchesStored) {
-  CheckCachedEqualsStored<GgnnLayer>(6, 4, 24);
+  CheckCachedEqualsStored<GgnnLayer>(6, 4, 24, /*relu=*/false);
+}
+
+TEST(CachedBackward, ReadsOutputOnlyForRelu) {
+  EXPECT_TRUE(GcnLayer(6, 4, true, 1).backward_reads_output());
+  EXPECT_TRUE(SageLayer(6, 4, true, 1).backward_reads_output());
+  EXPECT_TRUE(GinLayer(6, 4, true, 1).backward_reads_output());
+  EXPECT_FALSE(GcnLayer(6, 4, false, 1).backward_reads_output());
+  EXPECT_FALSE(SageLayer(6, 4, false, 1).backward_reads_output());
+  EXPECT_FALSE(GinLayer(6, 4, false, 1).backward_reads_output());
+  EXPECT_FALSE(GgnnLayer(6, 4, false, 1).backward_reads_output());
+  EXPECT_FALSE(GatLayer(6, 4, true, 1).backward_reads_output());
 }
 
 TEST(CachedBackward, GatReportsNotImplemented) {
@@ -238,6 +285,63 @@ TEST(BackwardRecompute, MatchesStoredForAllKinds) {
     auto gb = layer->grads();
     for (size_t p = 0; p < gb.size(); ++p) {
       EXPECT_LT(Tensor::MaxAbsDiff(ga[p], *gb[p]), 1e-6) << layer->name();
+    }
+  }
+}
+
+TEST(NullInputGradient, LeavesParamGradsBitwiseEqual) {
+  // A null d_src skips only the input-gradient products: every backward
+  // mode must leave the parameter gradients exactly as the full call does.
+  Graph g = SmallGraph(40, 200, 70);
+  const Chunk chunk = FullChunk(g);
+  const LocalGraph lg = LocalGraph::FromChunk(chunk);
+  std::vector<std::unique_ptr<Layer>> layers;
+  layers.push_back(std::make_unique<GcnLayer>(6, 5, true, 71));
+  layers.push_back(std::make_unique<SageLayer>(6, 5, true, 72));
+  layers.push_back(std::make_unique<GinLayer>(6, 5, true, 73));
+  layers.push_back(std::make_unique<GatLayer>(6, 5, true, 74));
+  layers.push_back(std::make_unique<GgnnLayer>(6, 5, false, 75));
+  for (auto& layer : layers) {
+    Layer* l = layer.get();
+    const Tensor src_h = Tensor::Gaussian(lg.num_src, 6, 0.5f, 76);
+    const Tensor d_dst = Tensor::Gaussian(lg.num_dst, 5, 0.5f, 77);
+    Tensor out_h, agg;
+    ASSERT_TRUE(l->Forward(lg, src_h, &out_h, &agg).ok());
+    Tensor stored_h;
+    std::unique_ptr<LayerCtx> ctx;
+    ASSERT_TRUE(l->ForwardStore(lg, src_h, &stored_h, &ctx).ok());
+    Tensor d_src(lg.num_src, 6);
+    const std::string name = l->name();
+    ExpectSameGrads(
+        GradsAfter(l, [&] {
+          return l->BackwardStored(lg, *ctx, src_h, d_dst, nullptr);
+        }),
+        GradsAfter(l, [&] {
+          d_src.Zero();
+          return l->BackwardStored(lg, *ctx, src_h, d_dst, &d_src);
+        }),
+        name + " stored");
+    ExpectSameGrads(
+        GradsAfter(l, [&] {
+          return l->BackwardRecompute(lg, src_h, d_dst, nullptr);
+        }),
+        GradsAfter(l, [&] {
+          d_src.Zero();
+          return l->BackwardRecompute(lg, src_h, d_dst, &d_src);
+        }),
+        name + " recompute");
+    if (!l->cacheable()) continue;
+    for (const Tensor* oh : {static_cast<const Tensor*>(nullptr),
+                             static_cast<const Tensor*>(&out_h)}) {
+      ExpectSameGrads(
+          GradsAfter(l, [&] {
+            return l->BackwardCached(lg, agg, src_h, d_dst, nullptr, oh);
+          }),
+          GradsAfter(l, [&] {
+            d_src.Zero();
+            return l->BackwardCached(lg, agg, src_h, d_dst, &d_src, oh);
+          }),
+          name + (oh != nullptr ? " cached out_h" : " cached"));
     }
   }
 }
