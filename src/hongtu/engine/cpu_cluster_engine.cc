@@ -161,9 +161,11 @@ Result<EpochStats> CpuClusterEngine::EstimateEpoch() const {
     model_.layer(l)->ForwardCost(lg, &f, &b);
     flops += f;
     bytes += b;
-    // Priced with layer 0's input gradient: the cluster worker computes it.
-    model_.layer(l)->BackwardCost(lg, /*cached=*/false, &f, &b,
-                                  /*has_out_h=*/false, /*has_d_src=*/true);
+    // Priced as the cluster worker runs it: the hybrid backward with the
+    // mask from h^{l+1} where the layer is cacheable, and no input
+    // gradient at layer 0.
+    model_.layer(l)->BackwardCost(lg, model_.layer(l)->cacheable(), &f, &b,
+                                  /*has_out_h=*/true, /*has_d_src=*/l > 0);
     flops += f;
     bytes += b;
   }

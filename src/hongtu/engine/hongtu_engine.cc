@@ -414,6 +414,9 @@ Status HongTuEngine::RunLayer(int l, bool backward, PassModel* pm,
   const int n = options_.chunks_per_partition;
   const Layer* layer = model_.layer(l);
   const bool cached = backward && use_cache_[l];
+  // Layer 0's hybrid backward neither loads neighbors nor pushes an input
+  // gradient (BackwardLayer), so it opens no comm layer at all.
+  const bool comm = !(cached && l == 0);
   const kernels::CommPrecision wire = options_.comm_precision;
 
   // In-flight reservations: `window` comm slots (one when the hybrid
@@ -424,9 +427,10 @@ Status HongTuEngine::RunLayer(int l, bool backward, PassModel* pm,
   ExecutorKind kind = pm->kind;
   std::vector<DeviceAllocation> layer_scratch;
   if (kind != ExecutorKind::kSerial) {
-    Status st = executor_->BeginLayer(layer->in_dim(),
-                                      cached ? 1 : pm->window, wire,
-                                      options_.wire_integrity);
+    Status st = comm ? executor_->BeginLayer(layer->in_dim(),
+                                             cached ? 1 : pm->window, wire,
+                                             options_.wire_integrity)
+                     : Status::OK();
     if (st.ok() && kind == ExecutorKind::kPipeline) {
       st = ReserveWindowScratch(pm->window, l, l + 1, backward,
                                 &layer_scratch);
@@ -440,7 +444,7 @@ Status HongTuEngine::RunLayer(int l, bool backward, PassModel* pm,
       kind = ExecutorKind::kSerial;
     }
   }
-  if (kind == ExecutorKind::kSerial) {
+  if (kind == ExecutorKind::kSerial && comm) {
     HT_RETURN_IF_ERROR(executor_->BeginLayer(layer->in_dim(), 1, wire,
                                              options_.wire_integrity));
   }
@@ -473,7 +477,7 @@ Status HongTuEngine::RunLayer(int l, bool backward, PassModel* pm,
     }
     pm->prev_comm = executor_->TakeReservation();
   }
-  executor_->EndLayer();
+  if (comm) executor_->EndLayer();
   if (kind == ExecutorKind::kPipeline) {
     // The layer is charged at the pipeline recurrence over the per-batch
     // stage costs, never below its slowest stage's busy total.

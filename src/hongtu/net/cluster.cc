@@ -391,6 +391,13 @@ class ClusterWorker {
 /// destination can re-pull what was already delivered (`kFetchPush`).
 /// Both logs retain the full epoch (memory ~ one epoch of communication
 /// volume) and reset at the next run.
+///
+/// Not every step talks to peers. A cacheable layer's backward step reads
+/// the AGGREGATE its forward step kept in `agg_`, so it publishes and
+/// fetches nothing; a layer-0 backward step computes no input gradient, so
+/// it pushes nothing. Every rank runs the same step sequence, so no peer
+/// ever asks for a skipped step, and a replay re-runs the forward, which
+/// rebuilds `agg_` before any backward step reads it.
 class RankState {
  public:
   RankState(ClusterWorker* host, int rank);
@@ -460,6 +467,9 @@ class RankState {
     return static_cast<size_t>(dim) * static_cast<size_t>(elem_bytes_);
   }
   const Tensor& HIn(int l) const { return l == 0 ? ds_.features : h_[l]; }
+  Tensor& AggCache(int l, int j) {
+    return agg_[static_cast<size_t>(l) * n_ + j];
+  }
 
   /// Serializes the requester's owner-group rows out of the transition
   /// buffer. Caller holds mu_; the buffer holds the step being published.
@@ -490,10 +500,15 @@ class RankState {
   std::vector<std::vector<int>> fetchers_;
   std::vector<VertexId> own_train_;
   std::vector<Tensor> h_;     ///< h_[l] for l >= 1 (l == 0 is ds_.features)
-  std::vector<Tensor> grad_;  ///< gradient wrt h^l, |V| x dims[l]
+  std::vector<Tensor> grad_;  ///< gradient wrt h^l, |V| x dims[l]; l >= 1
+  /// agg_[l * n_ + j]: chunk j's AGGREGATE output (num_dst x agg_dim) of a
+  /// cacheable layer l, written by the forward, read by the backward.
+  std::vector<Tensor> agg_;
   Tensor trans_;              ///< transition buffer (wire-encoded payload)
   Tensor tgrad_;              ///< transition gradients, fp32 accumulators
-  Tensor nb_, dst_h_, d_dst_, d_src_;
+  /// Per-step workspaces: fetched neighbour rows, the destinations' input
+  /// and output rows, and the destination/source gradients.
+  Tensor nb_, dst_h_, out_h_, d_dst_, d_src_;
   double loss_sum_ = 0.0, acc_sum_ = 0.0;
   int64_t n_own_ = 0;
 
@@ -1104,6 +1119,8 @@ Status RankState::Prepare() {
 
   h_.resize(L_ + 1);
   grad_.resize(L_ + 1);
+  agg_.clear();
+  agg_.resize(static_cast<size_t>(L_) * n_);
   push_hi_.assign(W_, -1);
   push_floor_.assign(W_, -1);
   return Status::OK();
@@ -1497,8 +1514,10 @@ Status RankState::TrainEpoch(uint64_t run, int64_t epoch) {
   }
   HT_RETURN_IF_ERROR(ComputeLossAndSeed());
   for (int l = L_ - 1; l >= 0; --l) {
-    grad_[l].EnsureShapeZeroed(V_, dims_[l]);
-    tgrad_.EnsureShapeZeroed(plan_.buffer_slots[rank_], dims_[l]);
+    if (l > 0) {
+      grad_[l].EnsureShapeZeroed(V_, dims_[l]);
+      tgrad_.EnsureShapeZeroed(plan_.buffer_slots[rank_], dims_[l]);
+    }
     for (int j = 0; j < n_; ++j) {
       const int64_t s = static_cast<int64_t>(L_) * n_ +
                         static_cast<int64_t>(L_ - 1 - l) * n_ + j;
@@ -1522,26 +1541,60 @@ Status RankState::ForwardPhase(uint64_t run) {
 Status RankState::DoStep(uint64_t run, int64_t s, int l, int j,
                          bool backward) {
   const Chunk& chunk = tl_.chunks[rank_][j];
-  HT_RETURN_IF_ERROR(PublishStep(run, s, l, j));
-  HT_RETURN_IF_ERROR(FetchNeighbors(run, s, l, j));
   const LocalGraph lg = LocalGraph::FromChunk(chunk);
   Layer* layer = model_.layer(l);
+  const bool cached = layer->cacheable();
   if (!backward) {
-    HT_RETURN_IF_ERROR(layer->Forward(lg, nb_, &dst_h_, nullptr));
+    HT_RETURN_IF_ERROR(PublishStep(run, s, l, j));
+    HT_RETURN_IF_ERROR(FetchNeighbors(run, s, l, j));
+    HT_RETURN_IF_ERROR(layer->Forward(lg, nb_, &out_h_,
+                                      cached ? &AggCache(l, j) : nullptr));
     Tensor& hout = h_[l + 1];
     const size_t out_b = static_cast<size_t>(dims_[l + 1]) * sizeof(float);
     for (int64_t d = 0; d < chunk.num_dst(); ++d) {
-      std::memcpy(hout.row(chunk.dst_vertices[d]), dst_h_.row(d), out_b);
+      std::memcpy(hout.row(chunk.dst_vertices[d]), out_h_.row(d), out_b);
     }
     return Status::OK();
   }
-  d_dst_.EnsureShape(chunk.num_dst(), dims_[l + 1]);
-  const size_t out_b = static_cast<size_t>(dims_[l + 1]) * sizeof(float);
-  for (int64_t d = 0; d < chunk.num_dst(); ++d) {
-    std::memcpy(d_dst_.row(d), grad_[l + 1].row(chunk.dst_vertices[d]), out_b);
+  // Layer 0's input is the feature matrix: nothing reads its gradient, so
+  // the step computes only parameter gradients and pushes nothing.
+  const bool input_grad = l > 0;
+  const int64_t nd = chunk.num_dst();
+  // Copies the chunk's destination rows of `host`, through the wire codec
+  // when `quantize` (kFp32 is a plain copy).
+  const auto gather = [&](const Tensor& host, bool quantize, Tensor* out) {
+    const int64_t dim = host.cols();
+    const kernels::CommPrecision p =
+        quantize ? cfg_.wire : kernels::CommPrecision::kFp32;
+    out->EnsureShape(nd, dim);
+    for (int64_t d = 0; d < nd; ++d) {
+      kernels::QuantizeCopyRows(kb_, p, host.row(chunk.dst_vertices[d]), dim,
+                                out->row(d));
+    }
+  };
+  gather(grad_[l + 1], /*quantize=*/false, &d_dst_);
+  if (input_grad) d_src_.EnsureShapeZeroed(chunk.num_neighbors(), dims_[l]);
+  Tensor* ds = input_grad ? &d_src_ : nullptr;
+  if (cached) {
+    // The hybrid path (Fig. 4c): the forward's AGGREGATE replaces the
+    // neighbour reload. The self rows cross the wire codec exactly as the
+    // forward's fetched copies did, and the ReLU mask comes from h^{l+1}.
+    if (layer->needs_dst_h()) {
+      gather(HIn(l), /*quantize=*/true, &dst_h_);
+    } else {
+      dst_h_.EnsureShape(0, 0);
+    }
+    const bool read_out = layer->backward_reads_output();
+    if (read_out) gather(h_[l + 1], /*quantize=*/false, &out_h_);
+    HT_RETURN_IF_ERROR(layer->BackwardCached(lg, AggCache(l, j), dst_h_,
+                                             d_dst_, ds,
+                                             read_out ? &out_h_ : nullptr));
+  } else {
+    HT_RETURN_IF_ERROR(PublishStep(run, s, l, j));
+    HT_RETURN_IF_ERROR(FetchNeighbors(run, s, l, j));
+    HT_RETURN_IF_ERROR(layer->BackwardRecompute(lg, nb_, d_dst_, ds));
   }
-  d_src_.EnsureShapeZeroed(chunk.num_neighbors(), dims_[l]);
-  HT_RETURN_IF_ERROR(layer->BackwardRecompute(lg, nb_, d_dst_, &d_src_));
+  if (!input_grad) return Status::OK();
   return PushApplyFlush(run, s, l, j);
 }
 
@@ -1983,7 +2036,7 @@ Result<std::unique_ptr<ClusterCoordinator>> ClusterCoordinator::Start(
   }
 
   co->term_ = js.term + 1;
-  co->next_run_ = std::max<uint64_t>(js.max_run + 1, 1);
+  co->next_run_ = NextRunId(js);
   if (replayed && js.run != 0 && !js.run_eval &&
       js.run_epoch == co->epochs_completed_) {
     // An in-flight training run whose epoch was not applied: adopt it under
@@ -2205,33 +2258,25 @@ void ClusterCoordinator::JournalMember(int rank) {
 
 void ClusterCoordinator::JournalCompact() {
   // After an applied epoch the live state is just: this term, the current
-  // membership, and the applied pointer. Everything older is garbage.
-  std::vector<JournalRecord> live;
-  {
-    WireWriter w;
-    w.U64(term_);
-    live.push_back(JournalRecord{JournalRecordType::kTerm, w.Take()});
-  }
+  // membership, and the applied pointer with the run-id high-water mark.
+  // Everything older is garbage.
+  JournalState js;
+  js.term = term_;
   {
     std::lock_guard<std::mutex> lk(run_->mu);
     for (size_t r = 0; r < workers_.size(); ++r) {
-      if (workers_[r].dead || workers_[r].addr.empty()) continue;
-      WireWriter w;
-      w.U32(static_cast<uint32_t>(r));
-      w.Str(workers_[r].addr);
-      w.U64(static_cast<uint64_t>(workers_[r].pid));
-      live.push_back(JournalRecord{JournalRecordType::kMember, w.Take()});
+      JournalState::Member& m = js.members[static_cast<int>(r)];
+      m.addr = workers_[r].addr;
+      m.pid = static_cast<uint64_t>(workers_[r].pid);
+      m.dead = workers_[r].dead;
     }
   }
-  {
-    WireWriter w;
-    w.U64(static_cast<uint64_t>(epochs_completed_));
-    w.Str(ckpt_->PrimaryPath());
-    live.push_back(JournalRecord{JournalRecordType::kApplied, w.Take()});
-  }
+  js.epochs_applied = epochs_completed_;
+  js.ckpt_path = ckpt_->PrimaryPath();
+  js.max_run = next_run_ - 1;
   std::lock_guard<std::mutex> lk(journal_mu_);
   if (journal_ == nullptr || !journal_ok_) return;
-  const Status st = journal_->Compact(live);
+  const Status st = journal_->Compact(CompactRecords(js));
   if (!st.ok()) {
     HT_LOG(WARNING) << "cluster journal compact failed: " << st.ToString();
   }
@@ -3064,12 +3109,9 @@ Result<ClusterEpochResult> ClusterCoordinator::RunEpoch() {
     SaveCheckpointResilient(epochs_completed_);
     // WAL: the applied pointer settles the run (a successor will NOT replay
     // it), then compaction drops the now-dead prefix.
-    {
-      WireWriter jw;
-      jw.U64(static_cast<uint64_t>(epochs_completed_));
-      jw.Str(ckpt_->PrimaryPath());
-      (void)JournalAppend(JournalRecordType::kApplied, jw.Take());
-    }
+    (void)JournalAppend(
+        JournalRecordType::kApplied,
+        EncodeApplied(epochs_completed_, ckpt_->PrimaryPath(), next_run_ - 1));
     JournalCompact();
 
     ClusterEpochResult res;

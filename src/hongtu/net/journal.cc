@@ -270,6 +270,10 @@ Result<JournalState> BuildJournalState(
         HT_ASSIGN_OR_RETURN(const uint64_t applied, rd.U64());
         HT_ASSIGN_OR_RETURN(js.ckpt_path, rd.Str());
         js.epochs_applied = static_cast<int64_t>(applied);
+        if (rd.remaining() > 0) {
+          HT_ASSIGN_OR_RETURN(const uint64_t max_run, rd.U64());
+          js.max_run = std::max(js.max_run, max_run);
+        }
         // The in-flight run (if it was this epoch's) is settled.
         if (js.run != 0 && js.run_epoch >= 0 &&
             js.run_epoch < js.epochs_applied) {
@@ -285,6 +289,36 @@ Result<JournalState> BuildJournalState(
     }
   }
   return js;
+}
+
+std::string EncodeApplied(int64_t epochs_applied, const std::string& ckpt_path,
+                          uint64_t max_run) {
+  WireWriter w;
+  w.U64(static_cast<uint64_t>(epochs_applied));
+  w.Str(ckpt_path);
+  w.U64(max_run);
+  return w.Take();
+}
+
+std::vector<JournalRecord> CompactRecords(const JournalState& js) {
+  std::vector<JournalRecord> live;
+  {
+    WireWriter w;
+    w.U64(js.term);
+    live.push_back(JournalRecord{JournalRecordType::kTerm, w.Take()});
+  }
+  for (const auto& [rank, m] : js.members) {
+    if (m.dead || m.addr.empty()) continue;
+    WireWriter w;
+    w.U32(static_cast<uint32_t>(rank));
+    w.Str(m.addr);
+    w.U64(m.pid);
+    live.push_back(JournalRecord{JournalRecordType::kMember, w.Take()});
+  }
+  live.push_back(JournalRecord{
+      JournalRecordType::kApplied,
+      EncodeApplied(js.epochs_applied, js.ckpt_path, js.max_run)});
+  return live;
 }
 
 }  // namespace net

@@ -48,7 +48,9 @@ enum class JournalRecordType : uint32_t {
   kMemberDead = 3,///< {u32 rank} — declared dead (respawn/adopt follows)
   kRunStart = 4,  ///< {u64 run, u64 epoch, u32 eval} — before broadcast
   kDoneReport = 5,///< {u64 run, u32 rank, bytes raw kEpochDone payload}
-  kApplied = 6,   ///< {u64 epochs_completed, str ckpt_path} — after step+save
+  kApplied = 6,   ///< {u64 epochs_completed, str ckpt_path, u64 max_run}
+                  ///< — after step+save; max_run (optional on read) is the
+                  ///< highest run id issued so far, kept across compaction
 };
 
 struct JournalRecord {
@@ -118,6 +120,20 @@ struct JournalState {
 /// reports are idempotent (last/first writer wins respectively); malformed
 /// record payloads are kDataLoss.
 Result<JournalState> BuildJournalState(const std::vector<JournalRecord>& recs);
+
+/// The kApplied payload: the applied-epoch pointer plus the run-id
+/// high-water mark, so compaction, which drops every kRunStart, keeps it.
+std::string EncodeApplied(int64_t epochs_applied, const std::string& ckpt_path,
+                          uint64_t max_run);
+
+/// The live records a compacted journal holds for `js`: its term, its live
+/// members and the applied pointer (with `max_run`). In-flight run state is
+/// not carried: compaction runs only once the last run is settled.
+std::vector<JournalRecord> CompactRecords(const JournalState& js);
+
+/// The first run id a coordinator restarted from `js` may issue: strictly
+/// above every id the journal's earlier terms used.
+inline uint64_t NextRunId(const JournalState& js) { return js.max_run + 1; }
 
 }  // namespace net
 }  // namespace hongtu

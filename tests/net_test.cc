@@ -28,11 +28,13 @@
 #include <mutex>
 #include <string>
 #include <thread>
+#include <tuple>
 #include <vector>
 
 #include "hongtu/common/crc32c.h"
 #include "hongtu/common/fault.h"
 #include "hongtu/engine/cpu_cluster_engine.h"
+#include "hongtu/engine/inmemory_engine.h"
 #include "hongtu/graph/datasets.h"
 #include "hongtu/net/cluster.h"
 #include "hongtu/net/frame.h"
@@ -757,6 +759,94 @@ TEST_F(NetTest, ClusterCkptFaultsPlusNetFaultsStillConverge) {
   EXPECT_EQ(clean.losses, faulty.losses);
 }
 
+// ---- Cluster against the dense reference -----------------------------------
+
+class ClusterEquivalenceTest
+    : public ::testing::TestWithParam<
+          std::tuple<GnnKind, kernels::CommPrecision>> {
+ protected:
+  void TearDown() override { fault::DisarmAll(); }
+};
+
+TEST_P(ClusterEquivalenceTest, MatchesDenseReference) {
+  // The worker's hybrid backward (GCN, SAGE, GIN, GGNN: the forward's
+  // AGGREGATE, the ReLU mask from h^{l+1}, no layer-0 input gradient) and
+  // its recompute backward (GAT) must train what the dense single-shot
+  // InMemoryEngine trains, to EquivalenceTest's tolerance over the exact
+  // fp32 wire. The bf16 runs cover the self rows, which must cross the
+  // codec like the forward's. A 16-bit wire already moves the forward's
+  // loss (GIN's epoch 0 by 0.2%), so they are held to Bf16DriftTest's bound.
+  const auto& [kind, wire] = GetParam();
+  const double rel_tol = wire == kernels::CommPrecision::kFp32 ? 2e-3 : 0.05;
+  static const Dataset& ds =
+      *new Dataset(LoadDatasetScaled("reddit", 0.04).MoveValueUnsafe());
+  const ModelConfig cfg = ModelConfig::Make(kind, ds.feature_dim(), 16,
+                                            ds.num_classes, 3, 2024);
+
+  InMemoryOptions imo;
+  imo.num_devices = 1;
+  imo.device_capacity_bytes = 1ll << 40;
+  auto refr = InMemoryEngine::Create(&ds, cfg, imo);
+  ASSERT_TRUE(refr.ok()) << refr.status().ToString();
+  InMemoryEngine& ref = *refr.ValueOrDie();
+
+  net::ClusterConfig cc;
+  cc.transport = "uds";
+  cc.num_workers = 3;
+  cc.dataset = "reddit";
+  cc.dataset_scale = 0.04;
+  cc.dataset_seed = ds.load_seed;
+  cc.model_kind = kind;
+  cc.model_dims = cfg.dims;
+  cc.model_seed = cfg.seed;
+  cc.chunks_per_partition = 3;
+  cc.wire = wire;
+  cc.heartbeat_interval_s = 0.05;
+  cc.peer_timeout_s = 1.0;
+  cc.rpc_deadline_s = 5.0;
+  cc.epoch_deadline_s = 60.0;
+  auto cr = net::ClusterCoordinator::Start(std::move(cc));
+  ASSERT_TRUE(cr.ok()) << cr.status().ToString();
+  std::unique_ptr<net::ClusterCoordinator> coord = cr.MoveValueUnsafe();
+
+  for (int epoch = 0; epoch < 3; ++epoch) {
+    auto a = ref.TrainEpoch();
+    auto b = coord->RunEpoch();
+    ASSERT_TRUE(a.ok()) << a.status().ToString();
+    ASSERT_TRUE(b.ok()) << b.status().ToString();
+    EXPECT_NEAR(a.ValueOrDie().loss, b.ValueOrDie().loss,
+                rel_tol * std::max(1.0, a.ValueOrDie().loss))
+        << "epoch " << epoch;
+  }
+  auto pa = ref.model()->AllParams();
+  auto pb = coord->model()->AllParams();
+  ASSERT_EQ(pa.size(), pb.size());
+  for (size_t i = 0; i < pa.size(); ++i) {
+    EXPECT_LT(Tensor::MaxAbsDiff(*pa[i], *pb[i]), 5e-2) << "param " << i;
+  }
+  coord->Shutdown();
+}
+
+std::string ClusterEquivalenceName(
+    const ::testing::TestParamInfo<ClusterEquivalenceTest::ParamType>& info) {
+  return std::string(GnnKindName(std::get<0>(info.param))) + "_" +
+         kernels::CommPrecisionName(std::get<1>(info.param));
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Fp32AllKinds, ClusterEquivalenceTest,
+    ::testing::Combine(::testing::Values(GnnKind::kGcn, GnnKind::kSage,
+                                         GnnKind::kGin, GnnKind::kGgnn,
+                                         GnnKind::kGat),
+                       ::testing::Values(kernels::CommPrecision::kFp32)),
+    ClusterEquivalenceName);
+
+INSTANTIATE_TEST_SUITE_P(
+    Bf16SelfRows, ClusterEquivalenceTest,
+    ::testing::Combine(::testing::Values(GnnKind::kSage, GnnKind::kGin),
+                       ::testing::Values(kernels::CommPrecision::kBf16)),
+    ClusterEquivalenceName);
+
 // ---- Cluster journal + coordinator fault tolerance -------------------------
 
 std::string FreshTempDir() {
@@ -926,6 +1016,70 @@ TEST_F(NetTest, JournalStateDuplicateRegistrationIsIdempotent) {
   EXPECT_EQ(0u, jr2.ValueOrDie().run);
   EXPECT_TRUE(jr2.ValueOrDie().reports.empty());
   EXPECT_EQ(9u, jr2.ValueOrDie().max_run);
+}
+
+TEST_F(NetTest, CompactedJournalKeepsRunIdsIncreasingAcrossTerms) {
+  // Term 1 issues runs 1 (epoch 0), 2 (an eval) and 3 (epoch 1), applies
+  // epoch 1 and compacts, which drops every kRunStart. The successor must
+  // still start above run 3: workers key their run state by run id alone,
+  // so a reissued id would be taken for the run they just finished.
+  std::vector<net::JournalRecord> recs;
+  net::WireWriter t;
+  t.U64(1);
+  recs.push_back(MakeRecord(net::JournalRecordType::kTerm, t.Take()));
+  for (uint32_t r = 0; r < 2; ++r) {
+    net::WireWriter m;
+    m.U32(r);
+    m.Str("uds:w" + std::to_string(r));
+    m.U64(100 + r);
+    recs.push_back(MakeRecord(net::JournalRecordType::kMember, m.Take()));
+  }
+  uint64_t run = 0;
+  const auto run_start = [&](uint64_t epoch, uint32_t eval) {
+    net::WireWriter w;
+    w.U64(++run);
+    w.U64(epoch);
+    w.U32(eval);
+    recs.push_back(MakeRecord(net::JournalRecordType::kRunStart, w.Take()));
+  };
+  run_start(0, 0);
+  recs.push_back(MakeRecord(net::JournalRecordType::kApplied,
+                            net::EncodeApplied(1, "/ck/epoch1", run)));
+  run_start(1, 1);
+  run_start(1, 0);
+  recs.push_back(MakeRecord(net::JournalRecordType::kApplied,
+                            net::EncodeApplied(2, "/ck/epoch2", run)));
+  auto before = net::BuildJournalState(recs);
+  ASSERT_TRUE(before.ok()) << before.status().ToString();
+  ASSERT_EQ(3u, before.ValueOrDie().max_run);
+
+  const std::string dir = FreshTempDir();
+  const std::string path = dir + "/cluster.journal";
+  auto jr = net::ClusterJournal::Open(path);
+  ASSERT_TRUE(jr.ok()) << jr.status().ToString();
+  auto j = jr.MoveValueUnsafe();
+  for (const net::JournalRecord& r : recs) {
+    ASSERT_TRUE(j->Append(r.type, r.payload).ok());
+  }
+  ASSERT_TRUE(j->Compact(net::CompactRecords(before.ValueOrDie())).ok());
+  j.reset();
+
+  auto rr = net::ClusterJournal::Replay(path);
+  ASSERT_TRUE(rr.ok()) << rr.status().ToString();
+  for (const net::JournalRecord& r : rr.ValueOrDie()) {
+    EXPECT_NE(net::JournalRecordType::kRunStart, r.type);
+  }
+  auto after = net::BuildJournalState(rr.ValueOrDie());
+  ASSERT_TRUE(after.ok()) << after.status().ToString();
+  const net::JournalState& js = after.ValueOrDie();
+  EXPECT_EQ(1u, js.term);
+  EXPECT_EQ(2u, js.members.size());
+  EXPECT_EQ(2, js.epochs_applied);
+  EXPECT_EQ("/ck/epoch2", js.ckpt_path);
+  EXPECT_EQ(0u, js.run);  // settled: nothing to adopt
+  EXPECT_GT(net::NextRunId(js), run);
+  ::unlink(path.c_str());
+  ::rmdir(dir.c_str());
 }
 
 TEST_F(NetTest, CoordinatorTermFencingHelpers) {
