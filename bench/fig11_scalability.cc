@@ -2,15 +2,12 @@
 // three large graphs, normalized speedup over 1 device. Claim: 3.3x-3.8x at
 // 4 devices (near-linear).
 //
-// A second section compares the three modeled executor schedules at 4
-// devices — serial, the 3-stage pipeline (max_inflight 3) and the dataflow
-// task graph (max_inflight 3) — and records the result in
-// BENCH_pipeline.json: the overlapped schedules must hide communication
-// behind compute, i.e. beat the serial total while reporting the hidden
-// seconds in the Overlap column, and the task graph must beat or tie the
-// fixed-depth pipeline (its cross-layer edges release work the pipeline's
-// per-layer barrier serializes). All three run the same serial chunk loop;
-// only the modeled overlap of its metered stage costs differs.
+// A second section compares the modeled schedule at 4 devices with an
+// in-flight window of 1 (serial: no overlap) and 3 (the 3-stage pipeline)
+// and records the result in BENCH_pipeline.json: the pipeline must hide
+// communication behind compute, i.e. beat the serial total while reporting
+// the hidden seconds in the Overlap column. Both run the same serial chunk
+// loop; only the modeled overlap of its metered stage costs differs.
 
 #include <cstdio>
 #include <cstring>
@@ -28,15 +25,13 @@ struct PipelineRow {
   double serial_s = -1;
   double pipelined_s = -1;
   double overlap_s = -1;
-  /// The dataflow task-graph executor at the same in-flight window.
-  double taskgraph_s = -1;
   /// The pipelined epoch again with the bf16 comm wire (kernels/codec.h):
   /// halved wire bytes compound with the overlap.
   double pipelined_bf16_s = -1;
 };
 
 double RunEpochSimSeconds(const Dataset& ds, const ModelConfig& cfg,
-                          int chunks, ExecutorKind ex, int inflight,
+                          int chunks, int inflight,
                           double* overlap_s,
                           kernels::CommPrecision wire =
                               kernels::CommPrecision::kFp32,
@@ -45,7 +40,6 @@ double RunEpochSimSeconds(const Dataset& ds, const ModelConfig& cfg,
   o.num_devices = 4;
   o.chunks_per_partition = chunks;
   o.device_capacity_bytes = 1ll << 40;
-  o.executor = ex;
   o.max_inflight = inflight;
   o.comm_precision = wire;
   auto e = Engine::Create(EngineKind::kHongTu, &ds, cfg, o);
@@ -90,10 +84,6 @@ void WritePipelineReport(const std::vector<PipelineRow>& rows,
         "\"overlap_s\": %.6g, \"speedup\": %.4g",
         r.model.c_str(), r.dataset.c_str(), r.chunks, r.serial_s,
         r.pipelined_s, r.overlap_s, r.serial_s / r.pipelined_s);
-    if (r.taskgraph_s > 0) {
-      std::fprintf(f, ", \"taskgraph_sim_s\": %.6g, \"taskgraph_speedup\": %.4g",
-                   r.taskgraph_s, r.serial_s / r.taskgraph_s);
-    }
     if (r.pipelined_bf16_s > 0) {
       std::fprintf(f,
                    ", \"pipelined_bf16_sim_s\": %.6g, \"bf16_speedup\": %.4g",
@@ -170,17 +160,16 @@ int main(int argc, char** argv) {
     }
   }
 
-  // ---- Chunk-executor comparison at 4 devices -----------------------------
+  // ---- Modeled overlap at 4 devices: window 1 vs window 3 -----------------
   benchutil::PrintTitle(
-      "Fig. 11 addendum: modeled executor schedules at 4 devices",
-      "Serial = --executor serial; Pipelined = 3-stage pipeline model and\n"
-      "TaskGraph = dataflow task-graph model, both with max_inflight 3.\n"
-      "Overlap is the busy time the pipeline hid (sim seconds). bf16 = the\n"
-      "pipelined epoch with the compressed comm wire on top.");
-  const std::vector<int> wp = {6, 12, 7, 10, 10, 9, 8, 10, 8, 10, 9};
+      "Fig. 11 addendum: modeled overlap at 4 devices",
+      "Serial = max_inflight 1 (no overlap); Pipelined = 3-stage pipeline\n"
+      "model with max_inflight 3. Overlap is the busy time the pipeline hid\n"
+      "(sim seconds). bf16 = the pipelined epoch with the compressed comm\n"
+      "wire on top.");
+  const std::vector<int> wp = {6, 12, 7, 10, 10, 9, 8, 10, 9};
   benchutil::PrintRow({"Model", "Dataset", "Chunks", "Serial", "Pipelined",
-                       "Overlap", "Speedup", "TaskGraph", "tg spd", "bf16",
-                       "bf16 spd"},
+                       "Overlap", "Speedup", "bf16", "bf16 spd"},
                       wp);
   benchutil::PrintRule(wp);
 
@@ -199,16 +188,12 @@ int main(int argc, char** argv) {
       row.chunks = chunks;
       fault::RecoveryCounters rec;
       const kernels::CommPrecision fp32 = kernels::CommPrecision::kFp32;
-      row.serial_s = RunEpochSimSeconds(ds, cfg, chunks, ExecutorKind::kSerial,
-                                        1, nullptr, fp32, &rec);
+      row.serial_s =
+          RunEpochSimSeconds(ds, cfg, chunks, 1, nullptr, fp32, &rec);
       row.pipelined_s =
-          RunEpochSimSeconds(ds, cfg, chunks, ExecutorKind::kPipeline, 3,
-                             &row.overlap_s, fp32, &rec);
-      row.taskgraph_s = RunEpochSimSeconds(
-          ds, cfg, chunks, ExecutorKind::kTaskGraph, 3, nullptr, fp32, &rec);
-      row.pipelined_bf16_s =
-          RunEpochSimSeconds(ds, cfg, chunks, ExecutorKind::kPipeline, 3,
-                             nullptr, kernels::CommPrecision::kBf16, &rec);
+          RunEpochSimSeconds(ds, cfg, chunks, 3, &row.overlap_s, fp32, &rec);
+      row.pipelined_bf16_s = RunEpochSimSeconds(
+          ds, cfg, chunks, 3, nullptr, kernels::CommPrecision::kBf16, &rec);
       rows.push_back(row);
       benchutil::PrintRow(
           {row.model, row.dataset, std::to_string(chunks),
@@ -217,10 +202,6 @@ int main(int argc, char** argv) {
            row.overlap_s >= 0 ? FormatSeconds(row.overlap_s) : "-",
            row.serial_s > 0 && row.pipelined_s > 0
                ? FormatDouble(row.serial_s / row.pipelined_s, 2) + "x"
-               : "-",
-           row.taskgraph_s > 0 ? FormatSeconds(row.taskgraph_s) : "ERR",
-           row.serial_s > 0 && row.taskgraph_s > 0
-               ? FormatDouble(row.serial_s / row.taskgraph_s, 2) + "x"
                : "-",
            row.pipelined_bf16_s > 0 ? FormatSeconds(row.pipelined_bf16_s)
                                     : "ERR",

@@ -8,9 +8,9 @@
 //
 // A second, measured section exercises the arena-backed tensor pool
 // (tensor/pool.h) on the Fig. 11 configuration (4 devices, default chunks,
-// pipeline executor, max_inflight 3) and A/Bs pooled vs unpooled (the
-// HONGTU_DISABLE_POOL path) epochs: wall-clock per steady epoch, peak live host tensor bytes,
-// and heap-allocation counts. The pooled run must reach ZERO steady-state
+// max_inflight 3) and A/Bs pooled vs unpooled (TensorPool::SetEnabled(false))
+// epochs: wall-clock per steady epoch, peak live host tensor bytes, and
+// heap-allocation counts. The pooled run must reach ZERO steady-state
 // allocations; the result is recorded in BENCH_memory.json (override with
 // --memory-report=path) and gated by ci/check_bench_regression.py --memory.
 
@@ -66,7 +66,6 @@ ModeResult RunMode(const Dataset& ds, const ModelConfig& cfg, int chunks,
   o.num_devices = 4;
   o.chunks_per_partition = chunks;
   o.device_capacity_bytes = 1ll << 40;
-  o.executor = ExecutorKind::kPipeline;
   o.max_inflight = 3;
   auto e = Engine::Create(EngineKind::kHongTu, &ds, cfg, o);
   if (!e.ok()) {
@@ -189,7 +188,7 @@ int main(int argc, char** argv) {
   // ---- Measured: arena-backed tensor pool on the Fig. 11 configuration ----
   benchutil::PrintTitle(
       "Tensor pool A/B on the Fig. 11 configuration (4 devices, depth 3)",
-      "Pooled vs HONGTU_DISABLE_POOL epochs: steady wall-clock, peak live\n"
+      "Pooled vs unpooled epochs: steady wall-clock, peak live\n"
       "host tensor bytes and heap-allocation counts. Steady pooled allocs\n"
       "must be ZERO (every buffer comes back from a free-list bucket).");
   const std::vector<int> wm = {6, 12, 9, 9, 8, 9, 9, 10, 9};

@@ -3,7 +3,7 @@
 //
 //   hongtu_cli --dataset friendster --model gcn --layers 3 --engine hongtu \
 //              --devices 4 --chunks 32 --dedup ru --epochs 5 --scale 0.3 \
-//              --executor taskgraph --max-inflight 4
+//              --max-inflight 4
 //
 // Engines: hongtu | inmemory | minibatch | cpu-cluster. Dedup: none|p2p|ru.
 // All engines are built through the unified factory (Engine::Create) and
@@ -31,7 +31,6 @@ struct Args {
   std::string model = "gcn";
   std::string engine = "hongtu";
   std::string dedup = "ru";
-  std::string executor;  // empty => HONGTU_EXECUTOR / default
   int layers = 2;
   int hidden = 0;  // 0 => dataset default
   int devices = 4;
@@ -52,12 +51,10 @@ void PrintUsage() {
       "  --engine hongtu|inmemory|minibatch|cpu-cluster\n"
       "  --dedup none|p2p|ru             --devices N     --chunks N\n"
       "  --epochs N   --scale F (0,1]    --lr F          --capacity-mb F\n"
-      "  --executor serial|pipeline|taskgraph\n"
-      "                      (hongtu engine's modeled overlap schedule;\n"
-      "                       default from HONGTU_EXECUTOR, else pipeline)\n"
-      "  --max-inflight N    (modeled in-flight chunk batches, reserved in\n"
-      "                       device memory; default from\n"
-      "                       HONGTU_MAX_INFLIGHT, else 2)\n");
+      "  --max-inflight N    (hongtu engine's modeled in-flight chunk\n"
+      "                       batches, reserved in device memory; 1 = no\n"
+      "                       overlap; default from HONGTU_MAX_INFLIGHT,\n"
+      "                       else 2)\n");
 }
 
 bool Parse(int argc, char** argv, Args* a) {
@@ -79,7 +76,6 @@ bool Parse(int argc, char** argv, Args* a) {
     else if (flag == "--model") a->model = v;
     else if (flag == "--engine") a->engine = v;
     else if (flag == "--dedup") a->dedup = v;
-    else if (flag == "--executor") a->executor = v;
     else if (flag == "--layers") a->layers = std::atoi(v);
     else if (flag == "--hidden") a->hidden = std::atoi(v);
     else if (flag == "--devices") a->devices = std::atoi(v);
@@ -156,9 +152,6 @@ Status Run(const Args& a) {
                    : (kind == GnnKind::kGat ? ds.default_chunks_gat
                                             : ds.default_chunks_gcn);
   o.adam.lr = static_cast<float>(a.lr);
-  if (!a.executor.empty() && !ParseExecutorKind(a.executor, &o.executor)) {
-    return Status::Invalid("unknown executor: " + a.executor);
-  }
   if (a.max_inflight > 0) o.max_inflight = a.max_inflight;
 
   std::printf("%s | %s %d-layer hidden=%d | engine=%s devices=%d\n",

@@ -20,13 +20,12 @@
 /// In-flight slots: `num_slots` in BeginLayer is the in-flight window the
 /// engine's modeled schedule assumes (engine.h, `max_inflight`). The
 /// device-memory charge below reserves that many neighbor-buffer slots, so
-/// the window the pipeline/task-graph models overlap over is exactly the
-/// one the memory model pays for.
+/// the window the pipeline model overlaps over is exactly the one the memory
+/// model pays for.
 
 #pragma once
 
 #include <cstdint>
-#include <utility>
 #include <vector>
 
 #include "hongtu/comm/dedup_plan.h"
@@ -78,12 +77,6 @@ class CommExecutor {
 
   /// Releases the layer's device buffers.
   void EndLayer();
-
-  /// Hands the current layer's device-memory registrations to the caller,
-  /// who then decides when they are released (EndLayer no longer does).
-  std::vector<DeviceAllocation> TakeReservation() {
-    return std::exchange(layer_.buf_alloc, {});
-  }
 
   /// Algorithm 2: loads the neighbor representations of batch `j` on every
   /// device. `host` is the full (|V| x dim) layer buffer h^l in CPU memory;

@@ -14,31 +14,6 @@ const char* Env(const char* name) { return std::getenv(name); }
 
 }  // namespace
 
-const char* ExecutorKindName(ExecutorKind k) {
-  switch (k) {
-    case ExecutorKind::kSerial:
-      return "serial";
-    case ExecutorKind::kPipeline:
-      return "pipeline";
-    case ExecutorKind::kTaskGraph:
-      return "taskgraph";
-  }
-  return "?";
-}
-
-bool ParseExecutorKind(const std::string& s, ExecutorKind* out) {
-  if (s == "serial") {
-    *out = ExecutorKind::kSerial;
-  } else if (s == "pipeline") {
-    *out = ExecutorKind::kPipeline;
-  } else if (s == "taskgraph") {
-    *out = ExecutorKind::kTaskGraph;
-  } else {
-    return false;
-  }
-  return true;
-}
-
 RuntimeConfig RuntimeConfig::Defaults() { return RuntimeConfig(); }
 
 RuntimeConfig RuntimeConfig::FromEnv() {
@@ -66,18 +41,8 @@ RuntimeConfig RuntimeConfig::FromEnv() {
   if (const char* s = Env("HONGTU_WIRE_INTEGRITY")) {
     c.wire_integrity = std::string(s) != "0";
   }
-  if (const char* s = Env("HONGTU_DISABLE_POOL")) {
-    c.pool_enabled = !(s[0] != '\0' && s[0] != '0');
-  }
   if (const char* s = Env("HONGTU_FAULT_SPEC")) c.fault_spec = s;
   if (const char* s = Env("HONGTU_RETRY_SPEC")) c.retry_spec = s;
-  if (const char* s = Env("HONGTU_EXECUTOR")) {
-    if (!ParseExecutorKind(s, &c.executor)) {
-      HT_LOG(WARNING) << "HONGTU_EXECUTOR=" << s
-                      << " not recognized (want serial|pipeline|taskgraph); "
-                      << "keeping " << ExecutorKindName(c.executor);
-    }
-  }
   if (const char* s = Env("HONGTU_MAX_INFLIGHT")) {
     const int v = std::atoi(s);
     if (v >= 1) {
@@ -113,10 +78,6 @@ std::string RuntimeConfig::Describe() const {
      << "  [HONGTU_COMM_PRECISION]\n"
      << "  wire_integrity = " << (wire_integrity ? "on" : "off")
      << "  [HONGTU_WIRE_INTEGRITY]\n"
-     << "  tensor_pool    = " << (pool_enabled ? "on" : "off")
-     << "  [HONGTU_DISABLE_POOL]\n"
-     << "  executor       = " << ExecutorKindName(executor)
-     << "  [HONGTU_EXECUTOR]\n"
      << "  max_inflight   = " << max_inflight << "  [HONGTU_MAX_INFLIGHT]\n"
      << "  cluster        = "
      << (cluster_transport.empty() ? "(analytic)" : cluster_transport)

@@ -17,8 +17,8 @@
 /// do not apply to). The concrete Create functions remain available for
 /// callers that need engine-specific accessors (dedup plans, logits, ...).
 ///
-/// Executor policy lives in `EngineOptions::executor` + `max_inflight`
-/// (common/config.h).
+/// HongTuEngine's modeled overlap window lives in
+/// `EngineOptions::max_inflight` (common/config.h).
 
 #pragma once
 
@@ -63,11 +63,11 @@ struct EpochStats {
   fault::RecoveryCounters recovery;
 
   /// Critical-path epoch time. The `time` components are per-resource busy
-  /// seconds; under the pipeline/taskgraph executors their sum double-counts
-  /// what the modeled schedule overlaps, and total() subtracts that (see
+  /// seconds; with an in-flight window above 1 their sum double-counts what
+  /// the modeled pipeline overlaps, and total() subtracts that (see
   /// TimeBreakdown).
   double SimSeconds() const { return time.total(); }
-  /// Busy seconds hidden by modeled comm/compute overlap (0 under serial).
+  /// Busy seconds hidden by modeled comm/compute overlap (0 at window 1).
   double OverlapSeconds() const { return time.overlapped; }
 };
 
@@ -102,18 +102,14 @@ struct EngineOptions {
   /// at fetch time with repair-by-refetch (comm/executor.h). On by default;
   /// HONGTU_WIRE_INTEGRITY=0 turns it off (explicit assignments win).
   bool wire_integrity = DefaultWireIntegrity();
-  /// Which modeled schedule HongTuEngine charges (other engines ignore it).
-  /// HongTuEngine always runs its batches' load/compute/store stages one
-  /// after another on the calling thread and meters each; this only picks
-  /// how those costs overlap in simulated time: serial (no overlap), the
-  /// in-order 3-stage pipeline per layer, or the dataflow task graph over
-  /// the whole pass. Numerics are identical under all three. Default
-  /// pipeline, moved by HONGTU_EXECUTOR.
-  ExecutorKind executor = RuntimeConfig::FromEnv().executor;
-  /// In-flight chunk batches, clamped to the batch count at run time: the
-  /// modeled window (pipeline depth / task-graph buffer-slot tokens) and
-  /// the number of in-flight batches reserved in device memory (comm slots
-  /// and chunk working sets). Default 2, moved by HONGTU_MAX_INFLIGHT.
+  /// HongTuEngine's in-flight chunk batches (other engines ignore it),
+  /// clamped to the batch count at run time. HongTuEngine always runs its
+  /// batches' load/compute/store stages one after another on the calling
+  /// thread and meters each; this only sets the window of the in-order
+  /// 3-stage pipeline that overlaps those costs in simulated time (1 = no
+  /// overlap) and the number of in-flight batches reserved in device memory
+  /// (comm slots and chunk working sets). Numerics are identical at every
+  /// window. Default 2, moved by HONGTU_MAX_INFLIGHT.
   int max_inflight = RuntimeConfig::FromEnv().max_inflight;
 };
 
@@ -203,8 +199,8 @@ struct EngineConfig : EngineOptions {
   /// before the ack (the coordinator_kill_smoke drill). -1 = off.
   int64_t cluster_coord_kill_epoch = -1;
 
-  /// This config as a RuntimeConfig view (executor fields from this config;
-  /// the process-scoped knobs — kernel backend, pool, fault spec — from
+  /// This config as a RuntimeConfig view (engine fields from this config;
+  /// the process-scoped knobs — kernel backend, fault spec — from
   /// RuntimeConfig::Process()). For Describe() dumps.
   RuntimeConfig runtime() const;
 };

@@ -7,7 +7,6 @@
 
 #include "hongtu/common/logging.h"
 #include "hongtu/common/parallel.h"
-#include "hongtu/common/taskgraph.h"
 #include "hongtu/kernels/backend.h"
 
 namespace hongtu {
@@ -273,111 +272,30 @@ void HongTuEngine::PresizeWorkspaces() {
   }
 }
 
-/// The modeled schedule of one pass. Every stage runs on the calling thread
-/// in batch order; this records how its metered costs overlap and which
-/// in-flight reservations the model pays for.
-struct HongTuEngine::PassModel {
-  /// kSerial: no overlap (the serial executor, a pipeline window below 2,
-  /// or after an OutOfMemory fallback).
-  ExecutorKind kind = ExecutorKind::kSerial;
-  /// Batches in flight: comm slots and scratch multiples.
-  int window = 1;
-  // ---- kTaskGraph only.
-  TaskGraph graph;
-  /// Node ids of (layer, batch, stage) as nodes[l][j][stage].
-  std::vector<std::vector<std::array<TaskGraph::NodeId, 3>>> nodes;
-  /// Metered busy seconds per node (begin/end nodes meter nothing).
-  std::vector<double> busy;
-  /// The pass-wide in-flight scratch reservation.
-  std::vector<DeviceAllocation> scratch;
-  /// The previous layer's comm buffers. The graph alternates two comm
-  /// contexts by layer parity, so layer l+1 may start while layer l drains:
-  /// layer l's buffers stay charged until layer l+1 ends, the point where
-  /// layer l+2 reuses its context.
-  std::vector<DeviceAllocation> prev_comm;
-
-  /// The rest of the pass runs serial batches, charged without overlap.
-  void DropToSerial() {
-    kind = ExecutorKind::kSerial;
-    window = 1;
-    scratch.clear();
-    prev_comm.clear();
-  }
-};
-
 Status HongTuEngine::ForwardPass() {
-  PassModel pm;
-  HT_RETURN_IF_ERROR(BeginPass(/*backward=*/false, &pm));
   for (int l = 0; l < model_.num_layers(); ++l) {
-    HT_RETURN_IF_ERROR(ForwardLayer(l, &pm));
+    HT_RETURN_IF_ERROR(ForwardLayer(l));
   }
-  EndPass(&pm);
   return Status::OK();
 }
 
 Status HongTuEngine::BackwardPass() {
-  PassModel pm;
-  HT_RETURN_IF_ERROR(BeginPass(/*backward=*/true, &pm));
   for (int l = model_.num_layers() - 1; l >= 0; --l) {
-    HT_RETURN_IF_ERROR(BackwardLayer(l, &pm));
+    HT_RETURN_IF_ERROR(BackwardLayer(l));
   }
-  EndPass(&pm);
   return Status::OK();
 }
 
-Status HongTuEngine::BeginPass(bool backward, PassModel* pm) {
-  const int n = options_.chunks_per_partition;
-  const int window = std::min(std::max(1, options_.max_inflight), n);
-  switch (options_.executor) {
-    case ExecutorKind::kSerial:
-      return Status::OK();
-    case ExecutorKind::kPipeline:
-      // A window of 1 cannot overlap anything (the stages serialize through
-      // it), so modeling one would fabricate hidden seconds.
-      if (window >= 2) {
-        pm->kind = ExecutorKind::kPipeline;
-        pm->window = window;
-      }
-      return Status::OK();
-    case ExecutorKind::kTaskGraph:
-      break;
-  }
-  // One worst-case chunk working set per in-flight batch per device,
-  // reserved for the whole pass: the compute side of the same window
-  // BeginLayer charges on the comm side.
-  const Status st = ReserveWindowScratch(window, 0, model_.num_layers(),
-                                         backward, &pm->scratch);
-  if (!st.ok()) {
-    pm->scratch.clear();
-    return DegradeToSerial(
-        st, backward ? "backward task graph" : "forward task graph");
-  }
-  pm->kind = ExecutorKind::kTaskGraph;
-  pm->window = window;
-  BuildPassGraph(backward, pm);
-  return Status::OK();
-}
-
-void HongTuEngine::EndPass(PassModel* pm) {
-  if (pm->kind != ExecutorKind::kTaskGraph) return;
-  double busy = 0.0;
-  for (double b : pm->busy) busy += b;
-  platform_->RecordOverlap(busy, 0.0, pm->graph.ScheduleSeconds(pm->busy));
-}
-
-Status HongTuEngine::ReserveWindowScratch(int window, int l0, int l1,
-                                          bool backward,
+Status HongTuEngine::ReserveWindowScratch(int window, int l, bool backward,
                                           std::vector<DeviceAllocation>* out) {
   const int m = options_.num_devices;
   const int n = options_.chunks_per_partition;
   out->reserve(static_cast<size_t>(m));
   for (int i = 0; i < m; ++i) {
     int64_t ws = 0;
-    for (int l = l0; l < l1; ++l) {
-      for (int j = 0; j < n; ++j) {
-        ws = std::max(ws, ScratchBytes(tl_.chunks[i][j], *model_.layer(l),
-                                       backward, use_cache_[l]));
-      }
+    for (int j = 0; j < n; ++j) {
+      ws = std::max(ws, ScratchBytes(tl_.chunks[i][j], *model_.layer(l),
+                                     backward, use_cache_[l]));
     }
     HT_RETURN_IF_ERROR(AllocateWithRetry(&platform_->device(i), window * ws,
                                          "in-flight scratch", &degrade_));
@@ -407,9 +325,8 @@ Status HongTuEngine::RunStage(const StageFn& body, int j, double* seconds) {
   return Status::OK();
 }
 
-Status HongTuEngine::RunLayer(int l, bool backward, PassModel* pm,
-                              const StageFn& load, const StageFn& compute,
-                              const StageFn& store) {
+Status HongTuEngine::RunLayer(int l, bool backward, const StageFn& load,
+                              const StageFn& compute, const StageFn& store) {
   const int m = options_.num_devices;
   const int n = options_.chunks_per_partition;
   const Layer* layer = model_.layer(l);
@@ -419,32 +336,30 @@ Status HongTuEngine::RunLayer(int l, bool backward, PassModel* pm,
   const bool comm = !(cached && l == 0);
   const kernels::CommPrecision wire = options_.comm_precision;
 
+  // The modeled in-flight window, clamped to the batch count. A window of 1
+  // cannot overlap anything (the stages serialize through it), so modeling
+  // one would fabricate hidden seconds: such a layer runs serial batches.
+  int window = std::min(std::max(1, options_.max_inflight), n);
   // In-flight reservations: `window` comm slots (one when the hybrid
-  // backward never loads neighbors) plus, under the pipeline, `window`
-  // worst-case chunk working sets for this layer (the task graph reserved
-  // its scratch pass-wide). If they do not fit, this layer runs serial
+  // backward never loads neighbors) plus `window` worst-case chunk working
+  // sets for this layer. If they do not fit, this layer runs serial
   // batches, each reserving only its own chunks' working sets.
-  ExecutorKind kind = pm->kind;
   std::vector<DeviceAllocation> layer_scratch;
-  if (kind != ExecutorKind::kSerial) {
+  if (window >= 2) {
     Status st = comm ? executor_->BeginLayer(layer->in_dim(),
-                                             cached ? 1 : pm->window, wire,
+                                             cached ? 1 : window, wire,
                                              options_.wire_integrity)
                      : Status::OK();
-    if (st.ok() && kind == ExecutorKind::kPipeline) {
-      st = ReserveWindowScratch(pm->window, l, l + 1, backward,
-                                &layer_scratch);
-    }
+    if (st.ok()) st = ReserveWindowScratch(window, l, backward, &layer_scratch);
     if (!st.ok()) {
       layer_scratch.clear();
       HT_RETURN_IF_ERROR(DegradeToSerial(
           st, std::string(backward ? "backward" : "forward") + " layer " +
                   std::to_string(l)));
-      if (kind == ExecutorKind::kTaskGraph) pm->DropToSerial();
-      kind = ExecutorKind::kSerial;
+      window = 1;
     }
   }
-  if (kind == ExecutorKind::kSerial && comm) {
+  if (window == 1 && comm) {
     HT_RETURN_IF_ERROR(executor_->BeginLayer(layer->in_dim(), 1, wire,
                                              options_.wire_integrity));
   }
@@ -454,7 +369,7 @@ Status HongTuEngine::RunLayer(int l, bool backward, PassModel* pm,
     std::array<double, 3>& c = cost[static_cast<size_t>(j)];
     HT_RETURN_IF_ERROR(RunStage(load, j, &c[0]));
     std::vector<DeviceAllocation> batch_scratch;
-    if (kind == ExecutorKind::kSerial) {
+    if (window == 1) {
       for (int i = 0; i < m; ++i) {
         const Chunk& chunk = tl_.chunks[i][j];
         if (chunk.num_dst() == 0) continue;
@@ -468,17 +383,8 @@ Status HongTuEngine::RunLayer(int l, bool backward, PassModel* pm,
     HT_RETURN_IF_ERROR(RunStage(store, j, &c[2]));
   }
 
-  if (kind == ExecutorKind::kTaskGraph) {
-    for (int j = 0; j < n; ++j) {
-      for (int s = 0; s < 3; ++s) {
-        pm->busy[static_cast<size_t>(pm->nodes[l][j][s])] =
-            cost[static_cast<size_t>(j)][static_cast<size_t>(s)];
-      }
-    }
-    pm->prev_comm = executor_->TakeReservation();
-  }
   if (comm) executor_->EndLayer();
-  if (kind == ExecutorKind::kPipeline) {
+  if (window >= 2) {
     // The layer is charged at the pipeline recurrence over the per-batch
     // stage costs, never below its slowest stage's busy total.
     double lane[3] = {0.0, 0.0, 0.0};
@@ -487,12 +393,12 @@ Status HongTuEngine::RunLayer(int l, bool backward, PassModel* pm,
     }
     platform_->RecordOverlap(lane[0] + lane[1] + lane[2],
                              std::max({lane[0], lane[1], lane[2]}),
-                             ModelPipelineSeconds(cost, pm->window));
+                             ModelPipelineSeconds(cost, window));
   }
   return Status::OK();
 }
 
-Status HongTuEngine::ForwardLayer(int l, PassModel* pm) {
+Status HongTuEngine::ForwardLayer(int l) {
   const int m = options_.num_devices;
   Layer* layer = model_.layer(l);
   const kernels::CommPrecision wire = options_.comm_precision;
@@ -534,10 +440,10 @@ Status HongTuEngine::ForwardLayer(int l, PassModel* pm) {
     }
     return Status::OK();
   };
-  return RunLayer(l, /*backward=*/false, pm, load, compute, store);
+  return RunLayer(l, /*backward=*/false, load, compute, store);
 }
 
-Status HongTuEngine::BackwardLayer(int l, PassModel* pm) {
+Status HongTuEngine::BackwardLayer(int l) {
   const int m = options_.num_devices;
   Layer* layer = model_.layer(l);
   const bool cached = use_cache_[l];
@@ -617,138 +523,7 @@ Status HongTuEngine::BackwardLayer(int l, PassModel* pm) {
     if (!input_grad) return Status::OK();
     return executor_->BackwardAccumulate(j, ws_.d_src, &grad_[l]);
   };
-  return RunLayer(l, /*backward=*/true, pm, load, compute, store);
-}
-
-void HongTuEngine::BuildTaskDeps() {
-  const int m = options_.num_devices;
-  const int n = options_.chunks_per_partition;
-  const int64_t nv = ds_->graph.num_vertices();
-
-  // Each vertex is owned by exactly one chunk; its batch index is the
-  // forward store (and the h^{l+1} row write) that produces it.
-  std::vector<int32_t> owner_batch(static_cast<size_t>(nv), -1);
-  for (int i = 0; i < m; ++i) {
-    for (int j = 0; j < n; ++j) {
-      for (VertexId v : tl_.chunks[i][j].dst_vertices) {
-        owner_batch[static_cast<size_t>(v)] = j;
-      }
-    }
-  }
-
-  // Forward: batch j's loads read h^l rows only for *fresh* transition
-  // entries (reused[p] == 1 rows were fetched by an earlier batch's load,
-  // which the within-layer load chain already orders). The producing
-  // batches of those rows are the cross-layer dependencies.
-  fwd_dep_batches_.assign(static_cast<size_t>(n), {});
-  std::vector<uint8_t> mark(static_cast<size_t>(n), 0);
-  for (int j = 0; j < n; ++j) {
-    std::fill(mark.begin(), mark.end(), 0);
-    for (int i = 0; i < m; ++i) {
-      const TransitionStep& step = plan_.transition[i][j];
-      for (size_t p = 0; p < step.vertices.size(); ++p) {
-        if (step.reused[p]) continue;
-        const int32_t b = owner_batch[static_cast<size_t>(step.vertices[p])];
-        if (b >= 0) mark[static_cast<size_t>(b)] = 1;
-      }
-    }
-    for (int b = 0; b < n; ++b) {
-      if (mark[static_cast<size_t>(b)]) fwd_dep_batches_[j].push_back(b);
-    }
-  }
-
-  // Backward: grad^{l+1}[v] is complete once the *last* flush of v's
-  // transition slot retired (a vertex can flush more than once across
-  // batches; only the final one matters). Backward stores are chained in
-  // batch order, so one edge from the max producing batch covers all.
-  std::vector<int32_t> final_flush(static_cast<size_t>(nv), -1);
-  for (int i = 0; i < m; ++i) {
-    for (int j = 0; j < n; ++j) {
-      const TransitionStep& step = plan_.transition[i][j];
-      for (size_t p = 0; p < step.vertices.size(); ++p) {
-        if (!step.flush[p]) continue;
-        int32_t& f = final_flush[static_cast<size_t>(step.vertices[p])];
-        f = std::max(f, j);
-      }
-    }
-  }
-  bwd_dep_batch_.assign(static_cast<size_t>(n), -1);
-  for (int j = 0; j < n; ++j) {
-    int32_t dep = -1;
-    for (int i = 0; i < m; ++i) {
-      for (VertexId v : tl_.chunks[i][j].dst_vertices) {
-        dep = std::max(dep, final_flush[static_cast<size_t>(v)]);
-      }
-    }
-    bwd_dep_batch_[j] = dep;
-  }
-}
-
-void HongTuEngine::BuildPassGraph(bool backward, PassModel* pm) {
-  const int n = options_.chunks_per_partition;
-  const int L = model_.num_layers();
-  if (fwd_dep_batches_.empty()) BuildTaskDeps();
-  TaskGraph& tg = pm->graph;
-  pm->nodes.assign(static_cast<size_t>(L),
-                   std::vector<std::array<TaskGraph::NodeId, 3>>(
-                       static_cast<size_t>(n)));
-  const TaskGraph::PoolId pool = tg.AddTokenPool(pm->window);
-  // Stores of the layer built before this one, by batch: the producers of
-  // the rows this layer's loads read.
-  std::vector<TaskGraph::NodeId> prev_stores;
-  TaskGraph::NodeId prev_end[2] = {-1, -1};
-  // Built in pass order (the backward top-down), so edges always point
-  // forward in id order.
-  for (int k = 0; k < L; ++k) {
-    const int l = backward ? L - 1 - k : k;
-    // Two comm contexts alternate by layer parity: a layer's begin waits
-    // for the end of the layer two before it.
-    const TaskGraph::NodeId begin = tg.AddNode();
-    if (prev_end[l % 2] >= 0) tg.AddEdge(prev_end[l % 2], begin);
-    std::vector<TaskGraph::NodeId> stores(static_cast<size_t>(n), -1);
-    for (int j = 0; j < n; ++j) {
-      TaskGraph::NodeOptions lo;
-      lo.acquires = pool;
-      lo.sim_resource = 0;
-      const TaskGraph::NodeId load = tg.AddNode(lo);
-      tg.AddEdge(begin, load);
-      // Transition slots advance in place, so loads chain in batch order.
-      if (j > 0) tg.AddEdge(pm->nodes[l][j - 1][0], load);
-      if (k > 0 && !backward) {
-        for (int jd : fwd_dep_batches_[j]) tg.AddEdge(prev_stores[jd], load);
-      }
-      if (k > 0 && backward && bwd_dep_batch_[j] >= 0) {
-        tg.AddEdge(prev_stores[static_cast<size_t>(bwd_dep_batch_[j])], load);
-      }
-
-      // Computes of one layer chain in batch order: they share the layer
-      // object (and its parameter gradients in the backward).
-      TaskGraph::NodeOptions co;
-      co.sim_resource = 1;
-      const TaskGraph::NodeId comp = tg.AddNode(co);
-      tg.AddEdge(load, comp);
-      if (j > 0) tg.AddEdge(pm->nodes[l][j - 1][1], comp);
-
-      TaskGraph::NodeOptions so;
-      so.releases_token_of = load;
-      so.sim_resource = 2;
-      const TaskGraph::NodeId store = tg.AddNode(so);
-      tg.AddEdge(comp, store);
-      // Backward stores accumulate gradients: batch order fixes the sums.
-      if (backward && j > 0) tg.AddEdge(pm->nodes[l][j - 1][2], store);
-      stores[static_cast<size_t>(j)] = store;
-      pm->nodes[l][j] = {load, comp, store};
-    }
-    const TaskGraph::NodeId end = tg.AddNode();
-    if (backward) {
-      tg.AddEdge(stores.back(), end);
-    } else {
-      for (TaskGraph::NodeId s : stores) tg.AddEdge(s, end);
-    }
-    prev_end[l % 2] = end;
-    prev_stores = std::move(stores);
-  }
-  pm->busy.assign(static_cast<size_t>(tg.num_nodes()), 0.0);
+  return RunLayer(l, /*backward=*/true, load, compute, store);
 }
 
 Status HongTuEngine::AllReduceAndStep() {

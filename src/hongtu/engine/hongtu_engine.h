@@ -27,18 +27,18 @@ namespace hongtu {
 
 // HongTuOptions is an alias of the flattened EngineConfig (engine/engine.h);
 // the HongTu-specific knobs (chunks_per_partition, dedup, reorganize,
-// hybrid_cache, edge_schedules, partition_seed) and the executor policy
-// (executor + max_inflight) live there.
+// hybrid_cache, edge_schedules, partition_seed) and the in-flight window
+// (max_inflight) live there.
 //
 // Execution: every pass runs one layer loop on the calling thread. Each
 // batch of a layer is three stages — load (host->device), compute (the GNN
 // kernels, OpenMP-parallel inside), store (device->host) — and each stage
-// is metered on its own. `executor` only picks how those metered costs are
-// overlapped in the modeled wall (serial: not at all; pipeline: the in-order
-// 3-stage recurrence per layer; taskgraph: the list schedule of the pass's
-// (chunk, layer, stage) dependency graph, common/taskgraph.h), and
-// `max_inflight` is both the modeled window and the number of in-flight
-// batches reserved in device memory.
+// is metered on its own. The modeled wall of a layer is the in-order
+// 3-stage pipeline recurrence over those metered costs
+// (ModelPipelineSeconds, sim/interconnect.h) with `max_inflight` batches in
+// flight; that window is also the number of in-flight batches reserved in
+// device memory. A window of 1 (after clamping to the batch count) models
+// no overlap.
 
 class HongTuEngine : public Engine {
  public:
@@ -85,9 +85,6 @@ class HongTuEngine : public Engine {
  private:
   HongTuEngine() = default;
 
-  /// The modeled schedule of one pass (defined in the .cc): which overlap
-  /// model applies, its in-flight window, and its device reservations.
-  struct PassModel;
   /// The body of one stage of batch j.
   using StageFn = std::function<Status(int j)>;
 
@@ -97,51 +94,29 @@ class HongTuEngine : public Engine {
   Status BackwardPass();
   Status AllReduceAndStep();
 
-  /// Sets up `pm` for one pass under options_.executor. The task graph
-  /// builds the pass's dependency graph and reserves its pass-wide scratch
-  /// (falling back to serial batches when that does not fit).
-  Status BeginPass(bool backward, PassModel* pm);
-  /// Charges the task graph's modeled overlap of a finished pass.
-  void EndPass(PassModel* pm);
-  /// Adds the pass's (chunk, layer, stage) nodes to pm->graph: loads chain
-  /// in batch order and acquire a buffer-slot token (capacity = the
-  /// window), computes chain in batch order, stores release the token
-  /// (backward stores also chain), and cross-layer edges exist only where a
-  /// batch's loads read rows an earlier layer's store produces.
-  void BuildPassGraph(bool backward, PassModel* pm);
-
   /// The one layer loop. Registers the comm buffers and in-flight scratch
-  /// the pass's window needs (an OutOfMemory there degrades the layer — under
-  /// the task graph, the rest of the pass — to serial batches), runs load,
-  /// compute and store of every batch in order on the calling thread,
-  /// metering each stage, and hands the costs to the pass model.
-  Status RunLayer(int l, bool backward, PassModel* pm, const StageFn& load,
+  /// the window needs (an OutOfMemory there degrades the layer to serial
+  /// batches), runs load, compute and store of every batch in order on the
+  /// calling thread, metering each stage, and charges the layer at the
+  /// pipeline recurrence over those costs.
+  Status RunLayer(int l, bool backward, const StageFn& load,
                   const StageFn& compute, const StageFn& store);
-  Status ForwardLayer(int l, PassModel* pm);
-  Status BackwardLayer(int l, PassModel* pm);
+  Status ForwardLayer(int l);
+  Status BackwardLayer(int l);
   /// One stage: pokes the `pipeline.stage` fault site (a transient fire
   /// retries the stage in place, before it has touched anything), runs the
   /// body, closes its synchronization phase and returns the busy seconds it
   /// metered.
   Status RunStage(const StageFn& body, int j, double* seconds);
-  /// Reserves `window` worst-case chunk working sets per device, the worst
-  /// case taken over the layers in [l0, l1).
-  Status ReserveWindowScratch(int window, int l0, int l1, bool backward,
+  /// Reserves `window` worst-case chunk working sets of layer `l` per
+  /// device.
+  Status ReserveWindowScratch(int window, int l, bool backward,
                               std::vector<DeviceAllocation>* out);
 
   /// Classifies a failed in-flight window reservation: OutOfMemory is
   /// recorded as a degradation event and returns OK (the caller runs serial
   /// batches); anything else passes through.
   Status DegradeToSerial(const Status& st, const std::string& what);
-
-  /// Cross-layer dependency tables of the task graph, computed once:
-  /// fwd_dep_batches_[j] = the batches whose forward store writes rows that
-  /// batch j's fresh (non-reused) transition loads read on any device;
-  /// bwd_dep_batch_[j] = the latest batch whose backward flush completes
-  /// grad rows batch j's recompute load reads at layer l from layer l+1's
-  /// store (-1 when none). Both are layer-independent (the dedup plan's
-  /// transition structure is).
-  void BuildTaskDeps();
 
   /// Per-device chunk workspaces, pool-backed and reused across chunks,
   /// layers and epochs. Each hot-loop tensor is reshaped in place with
@@ -189,11 +164,6 @@ class HongTuEngine : public Engine {
   /// registrations.
   std::vector<std::vector<ChunkSchedules>> scheds_;
   std::vector<DeviceAllocation> sched_alloc_;
-
-  /// Task-graph cross-layer dependency tables (BuildTaskDeps; empty until
-  /// the taskgraph executor first runs).
-  std::vector<std::vector<int>> fwd_dep_batches_;
-  std::vector<int> bwd_dep_batch_;
 
   double partition_seconds_ = 0.0;
   double dedup_preprocess_seconds_ = 0.0;

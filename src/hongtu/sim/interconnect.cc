@@ -119,6 +119,23 @@ void SimPlatform::RecordOverlap(double busy_seconds, double floor_seconds,
   total_time_.overlapped += busy_seconds - wall;
 }
 
+double ModelPipelineSeconds(
+    const std::vector<std::array<double, 3>>& item_seconds, int window) {
+  const size_t n = item_seconds.size();
+  const size_t d = static_cast<size_t>(std::max(1, window));
+  double load_fin = 0.0, comp_fin = 0.0, store_fin = 0.0;
+  std::vector<double> retired(n, 0.0);
+  for (size_t j = 0; j < n; ++j) {
+    double start = load_fin;
+    if (j >= d) start = std::max(start, retired[j - d]);
+    load_fin = start + item_seconds[j][0];
+    comp_fin = std::max(comp_fin, load_fin) + item_seconds[j][1];
+    store_fin = std::max(store_fin, comp_fin) + item_seconds[j][2];
+    retired[j] = store_fin;
+  }
+  return store_fin;
+}
+
 int64_t SimPlatform::MaxDevicePeak() const {
   int64_t m = 0;
   for (const auto& d : devices_) m = std::max(m, d.peak());

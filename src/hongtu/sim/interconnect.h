@@ -9,6 +9,7 @@
 
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <mutex>
 #include <string>
@@ -44,13 +45,13 @@ struct InterconnectParams {
 /// Wall-clock attribution matching Figure 9's stacked bars.
 ///
 /// The component fields are *busy* seconds: how long each resource class was
-/// occupied. Under the serial executor the resources run one after another,
-/// so wall time is simply their sum. Under the pipelined and task-graph
-/// executors the modeled schedule runs the communication stages concurrently
-/// with compute, and summing the components would double-count the hidden
-/// seconds — `overlapped` records exactly that hidden amount, so `total()`
-/// stays the critical-path wall time in every mode while the stacked
-/// components remain comparable.
+/// occupied. With an in-flight window of 1 the resources run one after
+/// another, so wall time is simply their sum. With a wider window the
+/// modeled pipeline (ModelPipelineSeconds) runs the communication stages
+/// concurrently with compute, and summing the components would double-count
+/// the hidden seconds — `overlapped` records exactly that hidden amount, so
+/// `total()` stays the critical-path wall time at every window while the
+/// stacked components remain comparable.
 struct TimeBreakdown {
   double gpu = 0;  ///< simulated-GPU kernel time
   double h2d = 0;  ///< host<->device transfers (both directions, PCIe)
@@ -58,7 +59,7 @@ struct TimeBreakdown {
   double cpu = 0;  ///< host-side gradient accumulation / loss
   double ru = 0;   ///< in-place reuse (usually negligible)
   /// Busy seconds hidden behind other stages by the modeled overlap (0 when
-  /// the serial executor ran).
+  /// nothing overlapped, e.g. an in-flight window of 1).
   double overlapped = 0;
 
   /// Sum of busy seconds, ignoring overlap (the Fig. 9 stacked bars).
@@ -119,9 +120,9 @@ class SimPlatform {
   void Synchronize();
 
   /// Records that `busy_seconds` of already-synchronized phases ran in a
-  /// modeled schedule whose wall time is `modeled_wall_seconds` (e.g. the
-  /// pipeline recurrence or the task graph's list schedule over the phases'
-  /// metered costs). The charge is clamped between `floor_seconds` (the
+  /// modeled schedule whose wall time is `modeled_wall_seconds` (the
+  /// pipeline recurrence, ModelPipelineSeconds, over the phases' metered
+  /// costs). The charge is clamped between `floor_seconds` (the
   /// longest chain no schedule can hide, such as the slowest pipeline
   /// stage's busy total) and `busy_seconds` (no model may beat zero
   /// overlap); the busy seconds hidden below that charge move into
@@ -173,5 +174,16 @@ class SimPlatform {
   PoolStats pool_epoch_base_;  ///< pool counters at the last ResetEpoch
   int64_t schedule_bytes_ = 0;  ///< one-time edge-schedule storage
 };
+
+/// Modeled wall of an in-order 3-stage software pipeline (load -> compute ->
+/// store) over items j = 0..n-1 with per-item stage seconds
+/// `item_seconds[j] = {load, compute, store}`: a stage starts item j once
+/// the upstream stage finished it and the stage itself finished item j-1,
+/// and item j's buffer slot (j mod window) frees only once item j-window
+/// retired from the store stage. A pure function of the metered costs, so
+/// the modeled wall is deterministic and independent of host scheduling.
+/// Returns the store stage's finish time (the busy sum at window 1).
+double ModelPipelineSeconds(
+    const std::vector<std::array<double, 3>>& item_seconds, int window);
 
 }  // namespace hongtu

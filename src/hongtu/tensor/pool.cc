@@ -8,8 +8,6 @@
 #include <unordered_map>
 #include <vector>
 
-#include "hongtu/common/config.h"
-
 namespace hongtu {
 
 namespace {
@@ -45,11 +43,7 @@ struct TensorPool::Impl {
   std::atomic<bool> enabled{true};
 };
 
-TensorPool::TensorPool() : impl_(new Impl) {
-  // HONGTU_DISABLE_POOL, read per-construction through the single parse
-  // point so scoped setenv tests see it (common/config.h).
-  impl_->enabled = RuntimeConfig::FromEnv().pool_enabled;
-}
+TensorPool::TensorPool() : impl_(new Impl) {}
 
 TensorPool::~TensorPool() {
   Trim();

@@ -16,7 +16,7 @@
 ///
 /// Thread safety: all methods are safe to call concurrently.
 ///
-/// Escape hatch: HONGTU_DISABLE_POOL=1 restores the pre-pool allocation
+/// Escape hatch: SetEnabled(false) restores the pre-pool allocation
 /// behavior for A/B comparison — every acquire hits the heap, every release
 /// frees immediately, Tensor::Uninitialized zero-fills like the old
 /// constructor did, and EnsureShape reuses a buffer only on an exact shape
@@ -67,9 +67,9 @@ class TensorPool {
   /// epoch's own footprint.
   void ResetPeak();
 
-  /// False when HONGTU_DISABLE_POOL=1 (or SetEnabled(false)): acquires go
-  /// straight to the heap, releases free immediately, and Tensor falls back
-  /// to the pre-pool allocate-and-zero semantics. Lock-free read.
+  /// False after SetEnabled(false): acquires go straight to the heap,
+  /// releases free immediately, and Tensor falls back to the pre-pool
+  /// allocate-and-zero semantics. Lock-free read.
   bool enabled() const;
   /// A/B toggle for tests and the memory bench. Buffers acquired in either
   /// mode may be released in the other (same underlying aligned allocation).

@@ -66,8 +66,8 @@ Tensor Tensor::Uninitialized(int64_t rows, int64_t cols) {
   t.cols_ = cols;
   t.data_ = TensorPool::Global().Acquire(rows * cols, &t.cap_);
   if (!TensorPool::Global().enabled() && t.data_ != nullptr) {
-    // A/B escape hatch (HONGTU_DISABLE_POOL): restore the pre-pool
-    // behavior, where every allocation was zero-filled.
+    // A/B escape hatch (TensorPool::SetEnabled(false)): restore the
+    // pre-pool behavior, where every allocation was zero-filled.
     std::memset(t.data_, 0,
                 static_cast<size_t>(rows * cols) * sizeof(float));
   }

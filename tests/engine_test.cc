@@ -148,10 +148,10 @@ TEST(HongTuEngine, Fp16WireTrainsAndHalvesCommBytes) {
     o.chunks_per_partition = 3;
     o.device_capacity_bytes = kBig;
     o.comm_precision = wire;
-    // Serial executor: epoch time is the sum of busy seconds, so the
-    // halved wire must show up as a strict total-time drop (under overlap
-    // a fully hidden comm lane could mask it).
-    o.executor = ExecutorKind::kSerial;
+    // Window 1: epoch time is the sum of busy seconds, so the halved wire
+    // must show up as a strict total-time drop (under overlap a fully
+    // hidden comm lane could mask it).
+    o.max_inflight = 1;
     auto e = HongTuEngine::Create(&ds, cfg, o);
     EXPECT_TRUE(e.ok());
     auto r = e.ValueOrDie()->TrainEpoch();

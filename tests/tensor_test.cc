@@ -48,9 +48,9 @@ TEST(Tensor, UninitializedHasShapeAndOwnership) {
 }
 
 TEST(Tensor, EnsureShapeKeepsBufferWithinCapacity) {
-  // In-place reuse is pooled-mode behavior; pin it so the test also passes
-  // under HONGTU_DISABLE_POOL=1 (where EnsureShape reallocates on any
-  // shape change, restoring the pre-pool semantics).
+  // In-place reuse is pooled-mode behavior; pin it so the test does not
+  // depend on the process-wide toggle (with the pool off, EnsureShape
+  // reallocates on any shape change, restoring the pre-pool semantics).
   const bool saved = TensorPool::Global().enabled();
   TensorPool::Global().SetEnabled(true);
   Tensor t = Tensor::Uninitialized(10, 10);
